@@ -11,13 +11,17 @@ Subcommands:
 * ``sweep`` - seeded randomized fuzzing over the identity family.
 
 Exit codes: 0 when every requested verification passes, 1 when any verdict
-is fail or precondition_violated, 2 on usage or parse errors.
+is fail or precondition_violated, 2 on usage or parse errors and on inputs
+that cannot be evaluated at all (a float overflow, or an expression nested
+deeper than the interpreter's recursion limit).  Exit code 1 therefore always
+means a verdict, never a crash.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -68,6 +72,17 @@ def _parse_scalar(text: str, flag: str) -> Scalar:
     if _DECIMAL_RE.fullmatch(text):
         return Scalar.inexact(float(text))
     raise UsageError(f"argument {flag}: expected an integer, p/q, or decimal, got {text!r}")
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite float above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _parse_scalar_list(text: str, flag: str) -> list[Scalar]:
@@ -184,7 +199,7 @@ def emit_summary(summary: SweepSummary, fmt: str) -> str:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--float", dest="float_mode", action="store_true",
                     help="evaluate in float mode instead of exact rationals")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                     help="relative tolerance for float-mode verdicts")
     sp.add_argument("--json", dest="as_json", action="store_true",
                     help="emit the report as JSON")
@@ -441,6 +456,12 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
         return 2
     except (ParseError, ModeError, DomainError, ValueError) as err:
         stderr.write(f"error: {err}\n")
+        return 2
+    except OverflowError as err:
+        stderr.write(f"error: numeric overflow: {err}\n")
+        return 2
+    except RecursionError:
+        stderr.write("error: input nested too deeply to evaluate\n")
         return 2
 
 

@@ -1,4 +1,6 @@
-"""Seeded random generators shared across the equivalence and acceptance tests.
+"""Seeded random generators shared across the equivalence and acceptance
+tests, and the composition-enumeration reference for the verifiers'
+left-hand sides.
 
 Everything here is driven by an explicit ``random.Random`` so tests are
 reproducible; hypothesis-based strategies live in the test modules that use
@@ -10,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from jetcheck import Scalar, eval_jet, nth_derivative
+from jetcheck import Jet, Scalar, eval_jet, nth_derivative
 from jetcheck.exprs import (
     Add,
     Apply,
@@ -27,7 +29,16 @@ from jetcheck.exprs import (
     mul,
     pow_int,
 )
-from jetcheck.numeric import DomainError
+from jetcheck.identities import _lift, _mode_for
+from jetcheck.numeric import (
+    DomainError,
+    compositions,
+    factorial,
+    generalized_binomial,
+    multinomial,
+    one,
+    zero,
+)
 
 TRANSCENDENTALS = ("exp", "log", "sin", "cos", "sqrt")
 
@@ -112,3 +123,103 @@ def pick_float_point(
 
 def rel_close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+# Reference left-hand sides --------------------------------------------------
+#
+# Each returns (lhs, cancellation_scale) for the same arguments as its
+# verifier, by enumerating every composition k of n into r parts and taking a
+# full jet product per factor: a route independent of the verifiers'
+# binomial-convolution kernel, and too slow for wide instances (C(n+r-1, r-1)
+# terms).
+
+
+def _composition_sum(n, r, mode, factor):
+    """sum over |k| = n of multinomial(n, k) * prod_i factor(i, k_i), and the
+    same sum of absolute values of the terms."""
+    lhs = scale = zero(mode)
+    for k in compositions(n, r):
+        term = _lift(multinomial(n, k), mode)
+        for i in range(r):
+            term = term * factor(i, k[i])
+        lhs = lhs + term
+        scale = scale + abs(term)
+    return lhs, scale
+
+
+def reference_theorem1(inst):
+    x0, mode = _mode_for(inst.x0, inst.f + inst.g)
+    f = [eval_jet(e, x0, inst.n) for e in inst.f]
+    g = [eval_jet(e, x0, inst.n) for e in inst.g]
+    return _composition_sum(
+        inst.n, inst.r, mode, lambda i, k: (f[i] * g[i] ** k).derivative(inst.s[i])
+    )
+
+
+def reference_corollary2(n, f, g, c, s, x0):
+    x0, mode = _mode_for(x0, tuple(f) + (g,), tuple(c))
+    c = [_lift(ci, mode) for ci in c]
+    fj = [eval_jet(e, x0, n) for e in f]
+    gj = eval_jet(g, x0, n)
+    return _composition_sum(
+        n, len(f), mode, lambda i, k: c[i] ** k * (fj[i] * gj ** k).derivative(s[i])
+    )
+
+
+def reference_symmetric_pair(n, p, f1, f2, g, x0):
+    return reference_corollary2(n, (f1, f2), g, (Scalar.exact(-1), Scalar.exact(1)), (p, n - p), x0)
+
+
+def reference_baran(n, f, g, x0):
+    """Terms (-1)^k C(n,k) g(x0)^k (f g^(n-k))^(n)(x0) / n!, k = 0..n."""
+    x0, mode = _mode_for(x0, (f, g))
+    fj, gj = eval_jet(f, x0, n), eval_jet(g, x0, n)
+    inv_nfact = one(mode) / _lift(factorial(n), mode)
+    return _composition_sum(
+        n, 2, mode,
+        lambda i, k: (-gj.value) ** k if i == 0 else (fj * gj ** k).derivative(n) * inv_nfact,
+    )
+
+
+def reference_leibniz_product(n, f, g, x0):
+    """Terms x0 C(n,k) (x^k f)^(k)(x0) (x^(n-k) g)^(n-k)(x0), k = 0..n."""
+    x0, mode = _mode_for(x0, (f, g))
+    fj, gj = eval_jet(f, x0, n), eval_jet(g, x0, n)
+    x = Jet.variable(x0, n)
+    return _composition_sum(
+        n, 2, mode,
+        lambda i, k: x0 * (x ** k * fj).derivative(k) if i == 0 else (x ** k * gj).derivative(k),
+    )
+
+
+def _family_inputs(alpha, beta, c):
+    beta, mode = _mode_for(beta, (), tuple(alpha) + tuple(c))
+    return mode, [_lift(a, mode) for a in alpha], beta, [_lift(ci, mode) for ci in c]
+
+
+def reference_power_family(n, alpha, beta, c, s):
+    mode, alpha, beta, c = _family_inputs(alpha, beta, c)
+    return _composition_sum(
+        n, len(c), mode,
+        lambda i, k: c[i] ** k * generalized_binomial(alpha[i] + beta * k, s[i]),
+    )
+
+
+def reference_exp_family(n, alpha, beta, c, s, rhs_form="corrected"):
+    """``rhs_form`` only mirrors the verifier's signature; the lhs ignores it."""
+    mode, alpha, beta, c = _family_inputs(alpha, beta, c)
+    return _composition_sum(
+        n, len(c), mode, lambda i, k: c[i] ** k * (alpha[i] + beta * k) ** s[i]
+    )
+
+
+# Verifier name -> its reference, called with the verifier's positional arguments.
+REFERENCES = {
+    "theorem1_verify": reference_theorem1,
+    "corollary2_verify": reference_corollary2,
+    "symmetric_pair_verify": reference_symmetric_pair,
+    "baran_verify": reference_baran,
+    "leibniz_product_verify": reference_leibniz_product,
+    "power_family_check": reference_power_family,
+    "exp_family_check": reference_exp_family,
+}

@@ -216,3 +216,22 @@ def test_criterion_9_sweep_determinism():
         assert code == 0
         doc = json.loads(out)
         assert doc["counts"] == {"pass": 100, "fail": 0, "precondition_violated": 0}
+
+
+def test_theorem1_n12_r6_within_budget():
+    with criterion("theorem1 at n = 12, r = 6 with |s| = n", 5.0):
+        rng = random.Random("wide:12:6:1")
+        f = tuple(rand_polynomial(rng) for _ in range(6))
+        g_head = [rand_polynomial(rng) for _ in range(5)]
+        g_sum = const(0)
+        for e in g_head:
+            g_sum = add(g_sum, e)
+        s = [2, 2, 2, 2, 2, 2]
+        inst = TheoremInstance(
+            n=12, r=6, f=f, g=tuple(g_head + [neg(g_sum)]), s=s,
+            x0=Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 4))),
+        )
+        report = theorem1_verify(inst)
+        assert report.verdict == "pass"
+        assert report.residual.as_ratio_text() == "0/1"
+        assert report.rhs != 0

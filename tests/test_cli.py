@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from jetcheck.cli import run
 
 EXPECTED_KEYS = [
@@ -125,6 +127,40 @@ def test_tol_override():
     )
     assert code == 0
     assert doc["tolerance"] == "0.001"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_tol_must_be_finite_and_positive(tol, capsys):
+    code, out, err = invoke(
+        "verify", "baran", "--n", "2", "--f", "x", "--g", "x^2", "--at", "0.5", "--tol", tol,
+    )
+    assert code == 2 and out == ""
+    assert "argument --tol" in capsys.readouterr().err
+
+
+def test_float_overflow_exits_2_with_one_line_error():
+    # 171! is above the largest float, so the eq7 right-hand side cannot be formed
+    code, out, err = invoke(
+        "binomid", "eq7", "--n", "171", "--s", "85", "--alpha", "0,0", "--beta", "1", "--float",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_large_float_baran_ends_in_a_report():
+    # this instance once died in float(200!) with a traceback and exit code 1
+    code, out, err = invoke(
+        "verify", "baran", "--n", "200", "--f", "x", "--g", "exp(x)", "--at", "1", "--float",
+    )
+    assert code in (0, 1) and err == ""
+    assert "verdict: " in out
+
+
+def test_deep_nesting_exits_2_with_one_line_error():
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code, out, err = invoke("lemma", "--f", deep, "--n", "1", "--at", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_binomid_eq5_and_eq7():
