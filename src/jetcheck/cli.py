@@ -12,9 +12,11 @@ Subcommands:
 
 Exit codes: 0 when every requested verification passes, 1 when any verdict
 is fail or precondition_violated, 2 on usage or parse errors and on inputs
-that cannot be evaluated at all (a float overflow, or an expression nested
-deeper than the interpreter's recursion limit).  Exit code 1 therefore always
-means a verdict, never a crash.
+that cannot be evaluated at all (a float overflow, a float right-hand side
+with an infinite or NaN factor, or an expression nested deeper than the
+interpreter's recursion limit).  Each exit 2 writes one ``error:`` line to the
+``stderr`` given to :func:`run`.  Exit code 1 therefore always means a
+verdict, never a crash.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import NoReturn, Sequence, TextIO
 
 from .exprs import Expr
 from .identities import (
@@ -53,6 +55,15 @@ from .parsing import ParseError, parse
 
 class UsageError(Exception):
     """Bad command-line input; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error by raising UsageError,
+    so :func:`run` writes it as one line to its own ``stderr``; subcommand
+    parsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
 
 
 _INT_RE = re.compile(r"[+-]?\d+$")
@@ -208,7 +219,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jetcheck",
         description="Evaluate both sides of higher-order derivative identities "
                     "with exact jet arithmetic and report the residuals.",
@@ -445,11 +456,10 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_flag_values(argv))
-    except SystemExit as exc:  # argparse reports its own usage errors
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        try:
+            args = parser.parse_args(_join_flag_values(argv))
+        except SystemExit as exc:  # only --help exits here, after printing
+            return exc.code
         return args.handler(args, stdout, stderr)
     except UsageError as err:
         stderr.write(f"error: {err}\n")

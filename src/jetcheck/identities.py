@@ -43,6 +43,14 @@ compositions took a jet product per factor each.  On a 2-vCPU virtual
 machine (Python 3.11) theorem1 at n = 12, r = 6 drops from about 24 s to
 0.02 s, and n = 40, r = 10 takes 0.25 s.
 
+Between its edges the module works on plain values: ``Fraction`` in exact
+mode, ``float`` in float mode.  Scalar inputs become plain values as soon as
+:func:`_mode_for` has chosen the mode, jets are read through :func:`_raw`,
+and only :func:`_finish` and :func:`_precondition_violated` build the
+report's Scalars.  Every weighted right-hand side (n!, multinomial(n, s), or
+1 for baran) is formed exactly by :func:`_product` and, in float mode,
+rounded once, so n! never has to fit in a float on its own.
+
 All verifiers are pure functions; :func:`sweep` derives one RNG per trial
 from the master seed, so summaries are reproducible regardless of the order
 or parallelism with which trials would be evaluated.
@@ -54,7 +62,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exprs import (
     Expr,
@@ -75,11 +83,8 @@ from .numeric import (
     MultiIndex,
     Scalar,
     compositions,  # noqa: F401  (re-exported: tests and bench/tracing.py look it up here)
-    factorial,
     generalized_binomial,
     multinomial,
-    one,
-    zero,
 )
 
 DEFAULT_TOL = 1e-9
@@ -144,20 +149,24 @@ class TheoremInstance:
         object.__setattr__(self, "g", tuple(self.g))
         if not isinstance(self.s, MultiIndex):
             object.__setattr__(self, "s", MultiIndex(tuple(self.s)))
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
-        if self.r < 1:
-            raise ValueError(f"r must be positive, got {self.r}")
-        if len(self.f) != self.r or len(self.g) != self.r or len(self.s) != self.r:
-            raise ValueError(
-                f"f, g, s must all have length r = {self.r} "
-                f"(got {len(self.f)}, {len(self.g)}, {len(self.s)})"
-            )
-        if self.s.weight > self.n:
-            raise ValueError(
-                f"|s| = {self.s.weight} exceeds n = {self.n}; "
-                "the identity asserts nothing there"
-            )
+        _check_sizes(self.n, self.r, f=self.f, g=self.g, s=self.s)
+
+
+def _check_sizes(n: int, r: int = 1, **lists: Sequence) -> None:
+    """Reject the sizes an identity asserts nothing about: n < 0, r < 1, a
+    list (f, g, c, alpha or s) whose length is not r, and |s| > n."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if r < 1:
+        raise ValueError(f"r must be positive, got {r}")
+    if any(len(v) != r for v in lists.values()):
+        raise ValueError(
+            f"{', '.join(lists)} must all have length r = {r} "
+            f"(got {', '.join(str(len(v)) for v in lists.values())})"
+        )
+    weight = sum(lists.get("s", ()))
+    if weight > n:
+        raise ValueError(f"|s| = {weight} exceeds n = {n}; the identity asserts nothing there")
 
 
 def _mode_for(x0: Scalar, exprs: Sequence[Expr], scalars: Sequence[Scalar] = ()) -> tuple[Scalar, str]:
@@ -170,30 +179,60 @@ def _mode_for(x0: Scalar, exprs: Sequence[Expr], scalars: Sequence[Scalar] = ())
     return (x0.to_float() if lift else x0), ("float" if lift else "exact")
 
 
-def _lift(s: Scalar, mode: str) -> Scalar:
-    return s.to_float() if mode == "float" else s
+def _plain(scalars: Sequence[Scalar], mode: str) -> list:
+    """Scalar inputs as plain Fraction (exact mode) or float values."""
+    return [float(v) if mode == "float" else v.value for v in scalars]
 
 
-def _verdict_for(residual: Scalar, scale: Scalar, mode: str, tol: float) -> str:
+def _raw(jet: Jet) -> list:
+    """A jet's Taylor coefficients as plain Fraction or float values."""
+    return [c.value for c in jet.coeffs]
+
+
+def _slope(coeffs: Sequence):
+    """The first derivative from Taylor coefficients; 0 for an order-0 jet,
+    whose slope is only ever raised to the power 0."""
+    return coeffs[1] if len(coeffs) > 1 else 0
+
+
+def _text(value) -> str:
+    """A plain value rendered as the report renders its numbers."""
+    return Scalar(value).as_text()
+
+
+def _product(weight: int | Fraction, factors: Iterable[tuple], mode: str):
+    """weight * prod(base ** exponent for base, exponent in factors), formed
+    exactly and, in float mode, rounded once: no partial product, such as n!
+    alone, has to fit in a float.  A non-finite float factor raises
+    (OverflowError for inf, ValueError for nan)."""
+    total = Fraction(weight)
+    for base, exponent in factors:
+        total *= Fraction(base) ** exponent
+    return total if mode == "exact" else float(total)
+
+
+def _verdict_for(residual, scale, mode: str, tol: float) -> str:
     if mode == "exact":
         return "pass" if residual == 0 else "fail"
-    limit = tol * max(1.0, float(scale))
-    return "pass" if abs(float(residual)) <= limit else "fail"
+    return "pass" if abs(residual) <= tol * max(1.0, scale) else "fail"
 
 
 def _finish(
     identity: str,
     params: dict[str, str],
     mode: str,
-    lhs: Scalar,
-    rhs: Scalar,
-    scale: Scalar,
+    lhs,
+    rhs,
+    scale,
     tol: float,
     notes: tuple[str, ...] = (),
     rhs_shift: Scalar | None = None,
 ) -> VerificationReport:
+    """The report for plain lhs, rhs and scale values, which become Scalars here."""
+    plain = Fraction if mode == "exact" else float
+    lhs, rhs, scale = (Scalar(plain(v)) for v in (lhs, rhs, scale))
     if rhs_shift is not None:
-        rhs = rhs + _lift(rhs_shift, mode)
+        rhs = rhs + (rhs_shift.to_float() if mode == "float" else rhs_shift)
         notes = notes + (f"rhs perturbed by {rhs_shift.as_text()}",)
     residual = lhs - rhs
     return VerificationReport(
@@ -205,7 +244,7 @@ def _finish(
         residual=residual,
         cancellation_scale=scale,
         tolerance=tol if mode == "float" else None,
-        verdict=_verdict_for(residual, scale, mode, tol),
+        verdict=_verdict_for(residual.value, scale.value, mode, tol),
         notes=notes,
     )
 
@@ -227,16 +266,15 @@ def _precondition_violated(
     )
 
 
-def _nonzero_sum(values: Sequence[Scalar], mode: str) -> Scalar | None:
-    """The sum of ``values`` when a hypothesis that it vanishes fails (in
-    float mode: beyond HYPOTHESIS_TOL * (1 + the sum of magnitudes)), else None."""
-    total = mag = zero(mode)
-    for v in values:
-        total = total + v
-        mag = mag + abs(v)
-    if mode == "exact":
-        return None if total == 0 else total
-    return None if abs(float(total)) <= HYPOTHESIS_TOL * (1.0 + float(mag)) else total
+def _hypothesis_note(what: str, values: Sequence, mode: str) -> str | None:
+    """The note when a hypothesis that ``values`` sum to zero fails (in float
+    mode: beyond HYPOTHESIS_TOL * (1 + the sum of magnitudes)), else None."""
+    total = sum(values)
+    if total == 0:
+        return None
+    if mode == "float" and abs(total) <= HYPOTHESIS_TOL * (1.0 + sum(map(abs, values))):
+        return None
+    return f"hypothesis failed: {what} is {_text(total)}, not 0"
 
 
 def _exprs_text(exprs: Sequence[Expr]) -> str:
@@ -248,10 +286,10 @@ def _scalars_text(scalars: Sequence[Scalar]) -> str:
 
 
 # The multinomial-sum kernel.  Tables hold plain Fraction (exact mode) or
-# float values, not Scalars; only _convolve's two results are wrapped.
+# float values, as does everything between the edges named above.
 
 
-def _convolve(tables: Sequence[Sequence], n: int, mode: str) -> tuple[Scalar, Scalar]:
+def _convolve(tables: Sequence[Sequence], n: int) -> tuple:
     """The sum over |k| = n of multinomial(n, k) * prod_i tables[i][k_i], and
     its cancellation scale (the same sum over the absolute values).
 
@@ -268,17 +306,11 @@ def _convolve(tables: Sequence[Sequence], n: int, mode: str) -> tuple[Scalar, Sc
     for table in tables[1:]:
         lhs = _binomial_convolution(lhs, table)
         mag = _binomial_convolution(mag, [abs(v) for v in table])
-    lift = Fraction if mode == "exact" else float
-    return Scalar(lift(lhs[n])), Scalar(lift(mag[n]))
+    return lhs[n], mag[n]
 
 
 def _binomial_convolution(a: Sequence, b: Sequence) -> list:
     return [sum(math.comb(m, j) * a[j] * b[m - j] for j in range(m + 1)) for m in range(len(a))]
-
-
-def _raw(jet: Jet) -> list:
-    """A jet's Taylor coefficients as plain Fraction or float values."""
-    return [c.value for c in jet.coeffs]
 
 
 def _coefficient(a: Sequence, b: Sequence, m: int):
@@ -299,6 +331,14 @@ def _derivative_table(f: Sequence, g_powers: Sequence[Sequence], s: int, c=1) ->
     only the s-th coefficient of f * g^k is read."""
     weight = math.factorial(s)
     return [c ** k * (weight * _coefficient(f, p, s)) for k, p in enumerate(g_powers)]
+
+
+def _collapse_rhs(n: int, s: MultiIndex, f: Sequence[Sequence], slopes: Iterable[tuple], mode: str):
+    """The right-hand side of theorem1 and its corollaries: n! prod_i f_i(x0)
+    times the slope factors when |s| = n, else 0."""
+    if s.weight != n:
+        return _product(0, (), mode)
+    return _product(math.factorial(n), [(fi[0], 1) for fi in f] + list(slopes), mode)
 
 
 def theorem1_verify(
@@ -323,31 +363,17 @@ def theorem1_verify(
         "x0": inst.x0.as_text(),
     }
     x0, mode = _mode_for(inst.x0, inst.f + inst.g)
-    fjets = [eval_jet(e, x0, si) for e, si in zip(inst.f, s)]
-    gjets = [eval_jet(e, x0, si) for e, si in zip(inst.g, s)]
+    f = [_raw(eval_jet(e, x0, si)) for e, si in zip(inst.f, s)]
+    g = [_raw(eval_jet(e, x0, si)) for e, si in zip(inst.g, s)]
 
-    gsum = _nonzero_sum([gj.value for gj in gjets], mode)
-    if gsum is not None:
-        return _precondition_violated(
-            "theorem1", params, mode, tol,
-            f"hypothesis failed: sum of g_i at x0 is {gsum.as_text()}, not 0",
-        )
+    note = _hypothesis_note("sum of g_i at x0", [gi[0] for gi in g], mode)
+    if note is not None:
+        return _precondition_violated("theorem1", params, mode, tol, note)
 
     lhs, scale = _convolve(
-        [_derivative_table(_raw(fj), _powers(_raw(gj), n), si)
-         for fj, gj, si in zip(fjets, gjets, s)],
-        n, mode,
+        [_derivative_table(fi, _powers(gi, n), si) for fi, gi, si in zip(f, g, s)], n
     )
-
-    if s.weight == n:
-        rhs = _lift(factorial(n), mode)
-        for fj in fjets:
-            rhs = rhs * fj.value
-        for gj, si in zip(gjets, s):
-            if si:
-                rhs = rhs * gj.derivative(1) ** si
-    else:
-        rhs = zero(mode)
+    rhs = _collapse_rhs(n, s, f, zip(map(_slope, g), s), mode)
     return _finish("theorem1", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -363,35 +389,20 @@ def _corollary2_core(
     tol: float,
     rhs_shift: Scalar | None,
 ) -> VerificationReport:
-    r = len(f)
     x0, mode = _mode_for(x0, tuple(f) + (g,), tuple(c))
-    c = [_lift(ci, mode) for ci in c]
+    c = _plain(c, mode)
+    note = _hypothesis_note("sum of c", c, mode)
+    if note is not None:
+        return _precondition_violated(identity, params, mode, tol, note)
 
-    csum = _nonzero_sum(c, mode)
-    if csum is not None:
-        return _precondition_violated(
-            identity, params, mode, tol,
-            f"hypothesis failed: sum of c is {csum.as_text()}, not 0",
-        )
-
-    fjets = [eval_jet(e, x0, si) for e, si in zip(f, s)]
-    gjet = eval_jet(g, x0, max(s))
-    g_powers = _powers(_raw(gjet), n)
+    f = [_raw(eval_jet(e, x0, si)) for e, si in zip(f, s)]
+    g = _raw(eval_jet(g, x0, max(s)))
+    g_powers = _powers(g, n)
     lhs, scale = _convolve(
-        [_derivative_table(_raw(fj), g_powers, si, ci.value) for fj, ci, si in zip(fjets, c, s)],
-        n, mode,
+        [_derivative_table(fi, g_powers, si, ci) for fi, ci, si in zip(f, c, s)], n
     )
-
-    if s.weight == n:
-        rhs = _lift(factorial(n), mode)
-        for i in range(r):
-            rhs = rhs * c[i] ** s[i]
-        for i in range(r):
-            rhs = rhs * fjets[i].value
-        if n >= 1:
-            rhs = rhs * gjet.derivative(1) ** s.weight
-    else:
-        rhs = zero(mode)
+    # g_i = c_i g, so g_i'^(s_i) = c_i^(s_i) g'^(s_i).
+    rhs = _collapse_rhs(n, s, f, [*zip(c, s), (_slope(g), s.weight)], mode)
     return _finish(identity, params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -414,14 +425,7 @@ def corollary2_verify(
         s = MultiIndex(tuple(s))
     if r is None:
         r = len(f)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if len(f) != r or len(c) != r or len(s) != r:
-        raise ValueError(
-            f"f, c, s must all have length r = {r} (got {len(f)}, {len(c)}, {len(s)})"
-        )
-    if s.weight > n:
-        raise ValueError(f"|s| = {s.weight} exceeds n = {n}; the identity asserts nothing there")
+    _check_sizes(n, r, f=f, c=c, s=s)
     params = {
         "n": str(n),
         "r": str(r),
@@ -447,8 +451,7 @@ def symmetric_pair_verify(
 ) -> VerificationReport:
     """Two-function alternating form: c = (-1, 1) and s = (p, n - p), with
     right-hand side (-1)^p n! f1 f2 g'^n."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_sizes(n)
     if not 0 <= p <= n:
         raise ValueError(f"p must lie in 0..{n}, got {p}")
     params = {
@@ -480,21 +483,15 @@ def baran_verify(
     The g^k factor is a plain value at x0, not differentiated.  There is no
     hypothesis beyond the expressions being defined at x0.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_sizes(n)
     params = {"n": str(n), "f": to_text(f), "g": to_text(g), "x0": x0.as_text()}
     x0, mode = _mode_for(x0, (f, g))
-    fjet = eval_jet(f, x0, n)
-    gjet = eval_jet(g, x0, n)
+    f, g = _raw(eval_jet(f, x0, n)), _raw(eval_jet(g, x0, n))
     # The 1/n! cancels the n! of the n-th derivative, leaving [t^n](f g^j).
-    f_raw, minus_g0 = _raw(fjet), -gjet.value.value
     lhs, scale = _convolve(
-        [[minus_g0 ** k for k in range(n + 1)],
-         [_coefficient(f_raw, p, n) for p in _powers(_raw(gjet), n)]],
-        n, mode,
+        [[(-g[0]) ** k for k in range(n + 1)], [_coefficient(f, p, n) for p in _powers(g, n)]], n
     )
-
-    rhs = fjet.value * (gjet.derivative(1) ** n if n >= 1 else one(mode))
+    rhs = _product(1, [(f[0], 1), (_slope(g), n)], mode)
     return _finish("baran", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -513,18 +510,17 @@ def leibniz_product_verify(
 
     evaluated at x0.  No hypothesis beyond the expression domains.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_sizes(n)
     params = {"n": str(n), "f": to_text(f), "g": to_text(g), "x0": x0.as_text()}
     x0, mode = _mode_for(x0, (f, g))
     fjet = eval_jet(f, x0, n)
     gjet = eval_jet(g, x0, n)
     # The outer factor x0 multiplies every term, so it goes into the first table.
     ftable = _monomial_table(_raw(fjet), x0.value)
-    lhs, scale = _convolve([[x0.value * v for v in ftable], _monomial_table(_raw(gjet), x0.value)],
-                           n, mode)
-
-    rhs = (Jet.variable(x0, n) ** (n + 1) * fjet * gjet).derivative(n)
+    gtable = _monomial_table(_raw(gjet), x0.value)
+    lhs, scale = _convolve([[x0.value * v for v in ftable], gtable], n)
+    top = _raw(Jet.variable(x0, n) ** (n + 1) * fjet * gjet)[n]
+    rhs = _product(math.factorial(n), [(top, 1)], mode)
     return _finish("leibniz_product", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -534,29 +530,31 @@ def _monomial_table(h: Sequence, x0) -> list:
             for k in range(len(h))]
 
 
-def _family_common(
+def _family_check(
+    identity: str,
     n: int,
     alpha: Sequence[Scalar],
     beta: Scalar,
     c: Sequence[Scalar],
     s: MultiIndex | Sequence[int],
     r: int | None,
-) -> tuple[str, dict[str, str], list[Scalar], Scalar, list[Scalar], MultiIndex]:
-    """Validate a binomial-family instance; returns its mode, its params and
-    alpha, beta, c lifted to that mode, and s as a MultiIndex."""
+    tol: float,
+    rhs_shift: Scalar | None,
+    entry: Callable,
+    rhs: Callable,
+    extra_params: dict[str, str] | None = None,
+) -> VerificationReport:
+    """The check shared by the binomial families: the lhs sums, over |k| = n,
+    multinomial(n,k) prod_i c_i^(k_i) entry(alpha_i + k_i beta, s_i), and
+    ``rhs(factors, mode)`` returns the right-hand side and its notes, given
+    the factors beta^n and c_i^(s_i) for :func:`_product`."""
     alpha = tuple(alpha)
     c = tuple(c)
     if not isinstance(s, MultiIndex):
         s = MultiIndex(tuple(s))
     if r is None:
         r = len(alpha)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if len(alpha) != r or len(c) != r or len(s) != r:
-        raise ValueError(
-            f"alpha, c, s must all have length r = {r} "
-            f"(got {len(alpha)}, {len(c)}, {len(s)})"
-        )
+    _check_sizes(n, r, alpha=alpha, c=c, s=s)
     params = {
         "n": str(n),
         "r": str(r),
@@ -564,19 +562,22 @@ def _family_common(
         "alpha": _scalars_text(alpha),
         "beta": beta.as_text(),
         "c": _scalars_text(c),
+        **(extra_params or {}),
     }
     beta, mode = _mode_for(beta, (), alpha + c)
-    return mode, params, [_lift(a, mode) for a in alpha], beta, [_lift(ci, mode) for ci in c], s
+    alpha, beta, c = _plain(alpha, mode), beta.value, _plain(c, mode)
+    note = _hypothesis_note("sum of c", c, mode)
+    if note is None and s.weight != n:
+        note = f"this closed form needs |s| = n, got |s| = {s.weight} with n = {n}"
+    if note is not None:
+        return _precondition_violated(identity, params, mode, tol, note)
 
-
-def _family_violation(c: Sequence[Scalar], s: MultiIndex, n: int, mode: str) -> str | None:
-    """The note for a binomial-family instance whose hypothesis fails, else None."""
-    csum = _nonzero_sum(c, mode)
-    if csum is not None:
-        return f"hypothesis failed: sum of c is {csum.as_text()}, not 0"
-    if s.weight != n:
-        return f"this closed form needs |s| = n, got |s| = {s.weight} with n = {n}"
-    return None
+    lhs, scale = _convolve(
+        [[ci ** k * entry(ai + k * beta, si) for k in range(n + 1)]
+         for ai, ci, si in zip(alpha, c, s)], n
+    )
+    value, notes = rhs([(beta, n), *zip(c, s)], mode)
+    return _finish(identity, params, mode, lhs, value, scale, tol, notes, rhs_shift)
 
 
 def power_family_check(
@@ -598,22 +599,11 @@ def power_family_check(
 
     Exact for rational alpha, beta, c; needs sum(c) = 0 and |s| = n.
     """
-    mode, params, alpha, beta, c, s = _family_common(n, alpha, beta, c, s, r)
-    note = _family_violation(c, s, n, mode)
-    if note is not None:
-        return _precondition_violated("power_family", params, mode, tol, note)
-
-    b = beta.value
-    lhs, scale = _convolve(
-        [[ci.value ** k * generalized_binomial(ai.value + k * b, si).value for k in range(n + 1)]
-         for ai, ci, si in zip(alpha, c, s)],
-        n, mode,
+    return _family_check(
+        "power_family", n, alpha, beta, c, s, r, tol, rhs_shift,
+        lambda z, si: generalized_binomial(z, si).value,
+        lambda factors, mode: (_product(multinomial(n, s).value, factors, mode), ()),
     )
-
-    rhs = _lift(multinomial(n, s), mode) * beta ** n
-    for ci, si in zip(c, s):
-        rhs = rhs * ci ** si
-    return _finish("power_family", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
 def exp_family_check(
@@ -643,35 +633,21 @@ def exp_family_check(
     """
     if rhs_form not in ("corrected", "as_printed"):
         raise ValueError(f"rhs_form must be 'corrected' or 'as_printed', got {rhs_form!r}")
-    mode, params, alpha, beta, c, s = _family_common(n, alpha, beta, c, s, r)
-    params["rhs_form"] = rhs_form
-    note = _family_violation(c, s, n, mode)
-    if note is not None:
-        return _precondition_violated("exp_family", params, mode, tol, note)
 
-    b = beta.value
-    lhs, scale = _convolve(
-        [[ci.value ** k * (ai.value + k * b) ** si for k in range(n + 1)]
-         for ai, ci, si in zip(alpha, c, s)],
-        n, mode,
-    )
-
-    c_weight = one(mode)
-    for ci, si in zip(c, s):
-        c_weight = c_weight * ci ** si
-    corrected = _lift(factorial(n), mode) * beta ** n * c_weight
-    printed = _lift(multinomial(n, s), mode) * beta ** n * c_weight
-
-    if rhs_form == "corrected":
-        rhs = corrected
-        notes = (f"as_printed rhs would be {printed.as_text()}",)
-    else:
-        rhs = printed
-        notes = (
+    def rhs(factors, mode):
+        corrected = _product(math.factorial(n), factors, mode)
+        printed = _product(multinomial(n, s).value, factors, mode)
+        if rhs_form == "corrected":
+            return corrected, (f"as_printed rhs would be {_text(printed)}",)
+        return printed, (
             "as_printed rhs uses multinomial(n,s) where the derivation from the "
-            f"constant-multiples identity gives n!; corrected rhs would be {corrected.as_text()}",
+            f"constant-multiples identity gives n!; corrected rhs would be {_text(corrected)}",
         )
-    return _finish("exp_family", params, mode, lhs, rhs, scale, tol, notes, rhs_shift)
+
+    return _family_check(
+        "exp_family", n, alpha, beta, c, s, r, tol, rhs_shift,
+        lambda z, si: z ** si, rhs, {"rhs_form": rhs_form},
+    )
 
 
 def zero_power_lemma_check(
@@ -688,35 +664,23 @@ def zero_power_lemma_check(
     The report's lhs/rhs compare the order-n derivative; the lower orders
     are folded into the verdict (any nonzero one fails, with a note).
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_sizes(n)
     params = {"f": to_text(f), "n": str(n), "x0": x0.as_text()}
     x0, mode = _mode_for(x0, (f,))
     fjet = eval_jet(f, x0, n)
-    fval = fjet.value
-    if _nonzero_sum([fval], mode) is not None:
-        return _precondition_violated(
-            "zero_power_lemma", params, mode, tol,
-            f"hypothesis failed: f(x0) is {fval.as_text()}, not 0",
-        )
+    note = _hypothesis_note("f(x0)", _raw(fjet)[:1], mode)
+    if note is not None:
+        return _precondition_violated("zero_power_lemma", params, mode, tol, note)
 
-    power = fjet ** n
-    lows = [power.derivative(k) for k in range(n)]
-    lhs = power.derivative(n)
-    rhs = _lift(factorial(n), mode) * (fjet.derivative(1) ** n if n >= 1 else one(mode))
-
-    scale = abs(lhs)
-    for low in lows:
-        scale = scale + abs(low)
+    *lows, lhs = [_product(math.factorial(k), [(v, 1)], mode)
+                  for k, v in enumerate(_raw(fjet ** n))]
+    scale = sum(map(abs, [lhs, *lows]))
+    rhs = _product(math.factorial(n), [(_slope(_raw(fjet)), n)], mode)
 
     report = _finish("zero_power_lemma", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
-    if mode == "exact":
-        bad = [k for k, low in enumerate(lows) if not low == 0]
-    else:
-        limit = tol * max(1.0, float(scale))
-        bad = [k for k, low in enumerate(lows) if abs(float(low)) > limit]
+    bad = [k for k, low in enumerate(lows) if _verdict_for(low, scale, mode, tol) == "fail"]
     if bad:
-        values = ",".join(lows[k].as_text() for k in bad)
+        values = ",".join(_text(lows[k]) for k in bad)
         report = replace(
             report,
             verdict="fail",

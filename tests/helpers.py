@@ -29,7 +29,7 @@ from jetcheck.exprs import (
     mul,
     pow_int,
 )
-from jetcheck.identities import _lift, _mode_for
+from jetcheck.identities import _mode_for
 from jetcheck.numeric import (
     DomainError,
     compositions,
@@ -132,6 +132,10 @@ def rel_close(a: float, b: float, tol: float) -> bool:
 # full jet product per factor: a route independent of the verifiers'
 # binomial-convolution kernel, and too slow for wide instances (C(n+r-1, r-1)
 # terms).
+
+
+def _lift(s, mode):
+    return s.to_float() if mode == "float" else s
 
 
 def _composition_sum(n, r, mode, factor):

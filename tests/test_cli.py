@@ -130,12 +130,29 @@ def test_tol_override():
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-def test_tol_must_be_finite_and_positive(tol, capsys):
+def test_tol_must_be_finite_and_positive(tol):
     code, out, err = invoke(
         "verify", "baran", "--n", "2", "--f", "x", "--g", "x^2", "--at", "0.5", "--tol", tol,
     )
     assert code == 2 and out == ""
-    assert "argument --tol" in capsys.readouterr().err
+    assert "argument --tol" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("frobnicate",),
+    ("verify", "baran", "--n", "abc", "--f", "x", "--g", "x^2", "--at", "3"),
+    (),
+])
+def test_argparse_errors_are_one_line_on_the_given_stream(argv, capsys):
+    code, out, err = invoke(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_help_exits_0(capsys):
+    assert invoke("--help")[0] == 0
+    assert "usage: jetcheck" in capsys.readouterr().out
 
 
 def test_float_overflow_exits_2_with_one_line_error():
@@ -143,6 +160,24 @@ def test_float_overflow_exits_2_with_one_line_error():
     code, out, err = invoke(
         "binomid", "eq7", "--n", "171", "--s", "85", "--alpha", "0,0", "--beta", "1", "--float",
     )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_float_rhs_never_rounds_n_factorial_alone():
+    # 171! is above the largest float, but the rhs 171! / 2^171 and the lhs are not
+    code, out, err = invoke(
+        "verify", "theorem1", "--n", "171", "--s", "86,85", "--f", "1,1",
+        "--g", "-x/2,x/2", "--at", "0", "--float",
+    )
+    assert code == 0 and err == ""
+    assert "verdict: pass" in out and "lhs: 4.146" in out
+
+
+@pytest.mark.parametrize("f", ["exp(x)*exp(x)", "exp(x)*exp(x)-exp(x)*exp(x)"])
+def test_non_finite_float_rhs_factor_exits_2(f):
+    # f(x0) overflows to inf (or inf - inf = nan), which no exact rhs product can take
+    code, out, err = invoke("verify", "baran", "--n", "1", "--f", f, "--g", "x", "--at", "400.0")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

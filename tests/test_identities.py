@@ -396,6 +396,36 @@ def test_polynomial_in_k_reduction():
             assert total == (math.factorial(n) if i == n else 0)
 
 
+_X, _PAIR = parse("x"), (parse("x"), parse("x"))
+_BAD_SIZES = {
+    "theorem1 n=-1": lambda: theorem1_verify(
+        TheoremInstance(n=-1, r=2, f=_PAIR, g=_PAIR, s=(0, 0), x0=ex(0))),
+    "corollary2 n=-1": lambda: corollary2_verify(-1, _PAIR, _X, (ex(-1), ex(1)), (0, 0), ex(0)),
+    "symmetric_pair n=-1": lambda: symmetric_pair_verify(-1, 0, _X, _X, _X, ex(0)),
+    "baran n=-1": lambda: baran_verify(-1, _X, _X, ex(0)),
+    "leibniz_product n=-1": lambda: leibniz_product_verify(-1, _X, _X, ex(0)),
+    "power_family n=-1": lambda: power_family_check(
+        -1, (ex(0), ex(0)), ex(1), (ex(-1), ex(1)), (0, 0)),
+    "exp_family n=-1": lambda: exp_family_check(
+        -1, (ex(0), ex(0)), ex(1), (ex(-1), ex(1)), (0, 0)),
+    "zero_power_lemma n=-1": lambda: zero_power_lemma_check(_X, -1, ex(0)),
+    "theorem1 len(g) != r": lambda: theorem1_verify(
+        TheoremInstance(n=1, r=2, f=_PAIR, g=(_X,), s=(0, 1), x0=ex(0))),
+    "corollary2 len(c) != r": lambda: corollary2_verify(1, _PAIR, _X, (ex(1),), (0, 1), ex(0), r=2),
+    "power_family len(alpha) != r": lambda: power_family_check(
+        1, (ex(0),), ex(1), (ex(-1), ex(1)), (0, 1), r=2),
+    "exp_family len(s) != r": lambda: exp_family_check(
+        1, (ex(0), ex(0)), ex(1), (ex(-1), ex(1)), (1,), r=2),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SIZES))
+def test_bad_sizes_raise_value_error(case):
+    match = "n must be non-negative" if case.endswith("n=-1") else "must all have length r = 2"
+    with pytest.raises(ValueError, match=match):
+        _BAD_SIZES[case]()
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.fractions(max_denominator=30).filter(lambda q: q != 0))
 def test_negative_sensitivity(shift):
