@@ -14,9 +14,12 @@ Exit codes: 0 when every requested verification passes, 1 when any verdict
 is fail or precondition_violated, 2 on usage or parse errors and on inputs
 that cannot be evaluated at all (a float overflow, a float right-hand side
 with an infinite or NaN factor, or an expression nested deeper than the
-interpreter's recursion limit).  Each exit 2 writes one ``error:`` line to the
-``stderr`` given to :func:`run`.  Exit code 1 therefore always means a
-verdict, never a crash.
+interpreter's recursion limit).  Every flag value given is checked, also
+for flags the chosen identity does not use.  Each exit 2 writes one
+``error:`` line to the ``stderr`` given to :func:`run`.  When standard output
+closes early (a pipe into ``head``), :func:`main` exits 141 (128 + SIGPIPE)
+and writes nothing to stderr.  Exit code 1 therefore always means a verdict,
+never a crash.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import replace
@@ -49,7 +53,7 @@ from .identities import (
     theorem1_verify,
     zero_power_lemma_check,
 )
-from .numeric import DomainError, ModeError, MultiIndex, Scalar
+from .numeric import ModeError, MultiIndex, Scalar
 from .parsing import ParseError, parse
 
 
@@ -60,7 +64,18 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a usage error by raising UsageError,
     so :func:`run` writes it as one line to its own ``stderr``; subcommand
-    parsers inherit the class."""
+    parsers inherit the class.  ``value_flags`` holds the option strings of
+    the flags added to it that take a value."""
+
+    def __init__(self, **kwargs) -> None:
+        self.value_flags: set[str] = set()
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self.value_flags.update(action.option_strings)
+        return action
 
     def error(self, message: str) -> NoReturn:
         raise UsageError(message)
@@ -70,19 +85,22 @@ _INT_RE = re.compile(r"[+-]?\d+$")
 _RATIONAL_RE = re.compile(r"([+-]?\d+)/(\d+)$")
 _DECIMAL_RE = re.compile(r"[+-]?\d+\.\d+$")
 
+# argparse types.  Each raises argparse.ArgumentTypeError, which argparse
+# reports as "argument --flag: <message>".
 
-def _parse_scalar(text: str, flag: str) -> Scalar:
+
+def _scalar(text: str) -> Scalar:
     text = text.strip()
     if _INT_RE.fullmatch(text):
         return Scalar.exact(int(text))
     m = _RATIONAL_RE.fullmatch(text)
     if m:
         if int(m.group(2)) == 0:
-            raise UsageError(f"argument {flag}: zero denominator in {text!r}")
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
         return Scalar(Fraction(int(m.group(1)), int(m.group(2))))
     if _DECIMAL_RE.fullmatch(text):
         return Scalar.inexact(float(text))
-    raise UsageError(f"argument {flag}: expected an integer, p/q, or decimal, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected an integer, p/q, or decimal, got {text!r}")
 
 
 def _tolerance(text: str) -> float:
@@ -96,29 +114,25 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _parse_scalar_list(text: str, flag: str) -> list[Scalar]:
-    return [_parse_scalar(part, flag) for part in text.split(",")]
+def _scalar_list(text: str) -> list[Scalar]:
+    return [_scalar(part) for part in text.split(",")]
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not _INT_RE.fullmatch(part):
-            raise UsageError(f"argument {flag}: expected an integer list, got {text!r}")
-        out.append(int(part))
-    return out
+def _int_list(text: str) -> list[int]:
+    if not all(_INT_RE.fullmatch(part.strip()) for part in text.split(",")):
+        raise argparse.ArgumentTypeError(f"expected an integer list, got {text!r}")
+    return [int(part) for part in text.split(",")]
 
 
-def _parse_expr(text: str, flag: str) -> Expr:
+def _expr(text: str) -> Expr:
     try:
         return parse(text)
     except ParseError as err:
-        raise UsageError(f"argument {flag}: {err}") from None
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _parse_expr_list(text: str, flag: str) -> list[Expr]:
-    return [_parse_expr(part, flag) for part in text.split(",")]
+def _expr_list(text: str) -> list[Expr]:
+    return [_expr(part) for part in text.split(",")]
 
 
 def _require(args: argparse.Namespace, what: str, *flags: str) -> None:
@@ -127,8 +141,9 @@ def _require(args: argparse.Namespace, what: str, *flags: str) -> None:
             raise UsageError(f"{what} requires {flag}")
 
 
-def _scalar_field(s: Scalar | None) -> str | None:
-    return None if s is None else s.as_ratio_text()
+def _sides(report: VerificationReport) -> list[tuple[str, Scalar | None]]:
+    """The report's four numbers with their field names, in report order."""
+    return [(key, getattr(report, key)) for key in ("lhs", "rhs", "residual", "cancellation_scale")]
 
 
 def report_dict(report: VerificationReport) -> dict:
@@ -137,10 +152,7 @@ def report_dict(report: VerificationReport) -> dict:
         "identity": report.identity,
         "params": dict(report.params),
         "mode": report.mode,
-        "lhs": _scalar_field(report.lhs),
-        "rhs": _scalar_field(report.rhs),
-        "residual": _scalar_field(report.residual),
-        "cancellation_scale": _scalar_field(report.cancellation_scale),
+        **{key: None if s is None else s.as_ratio_text() for key, s in _sides(report)},
         "tolerance": repr(report.tolerance) if report.tolerance is not None else None,
         "verdict": report.verdict,
         "notes": list(report.notes),
@@ -156,14 +168,8 @@ def emit_report(report: VerificationReport, fmt: str) -> str:
     for key, value in report.params.items():
         lines.append(f"  {key} = {value}")
     lines.append(f"mode: {report.mode}")
-
-    def show(s: Scalar | None) -> str:
-        return "n/a" if s is None else s.as_text()
-
-    lines.append(f"lhs: {show(report.lhs)}")
-    lines.append(f"rhs: {show(report.rhs)}")
-    lines.append(f"residual: {show(report.residual)}")
-    lines.append(f"cancellation_scale: {show(report.cancellation_scale)}")
+    for key, s in _sides(report):
+        lines.append(f"{key}: {'n/a' if s is None else s.as_text()}")
     if report.tolerance is not None:
         lines.append(f"tolerance: {report.tolerance!r}")
     lines.append(f"verdict: {report.verdict}")
@@ -214,11 +220,11 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="relative tolerance for float-mode verdicts")
     sp.add_argument("--json", dest="as_json", action="store_true",
                     help="emit the report as JSON")
-    sp.add_argument("--perturb-rhs", dest="perturb_rhs", default=None, metavar="Q",
+    sp.add_argument("--perturb-rhs", dest="perturb_rhs", type=_scalar, metavar="Q",
                     help="add Q to the computed rhs (negative testing)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="jetcheck",
         description="Evaluate both sides of higher-order derivative identities "
@@ -229,36 +235,38 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="check one identity instance")
     v.add_argument("identity", choices=("baran", "theorem1", "corollary2",
                                         "symmetric_pair", "leibniz_product"))
-    v.add_argument("--n", type=int, default=None)
-    v.add_argument("--r", type=int, default=None)
-    v.add_argument("--p", type=int, default=None)
-    v.add_argument("--s", default=None, help="comma-separated derivative orders")
-    v.add_argument("--c", default=None, help="comma-separated coefficients")
-    v.add_argument("--f", default=None, help="expression, or comma-separated list")
-    v.add_argument("--g", default=None, help="expression, or comma-separated list")
-    v.add_argument("--f1", default=None)
-    v.add_argument("--f2", default=None)
-    v.add_argument("--at", default=None, help="evaluation point x0")
+    v.add_argument("--n", type=int)
+    v.add_argument("--r", type=int)
+    v.add_argument("--p", type=int)
+    v.add_argument("--s", type=_int_list, help="comma-separated derivative orders")
+    v.add_argument("--c", type=_scalar_list, help="comma-separated coefficients")
+    v.add_argument("--f", type=_expr_list, help="expression, or comma-separated list")
+    v.add_argument("--g", type=_expr_list, help="expression, or comma-separated list")
+    v.add_argument("--f1", type=_expr)
+    v.add_argument("--f2", type=_expr)
+    v.add_argument("--at", type=_scalar, help="evaluation point x0")
     _add_common(v)
     v.set_defaults(handler=_handle_verify)
 
     b = sub.add_parser("binomid", help="check a combinatorial binomial reduction")
     b.add_argument("form", choices=("eq4", "eq5", "eq6", "eq7"))
-    b.add_argument("--n", type=int, default=None)
-    b.add_argument("--r", type=int, default=None)
-    b.add_argument("--s", default=None, help="orders list (eq4/eq6) or a single integer (eq5/eq7)")
-    b.add_argument("--alpha", default=None, help="comma-separated exponents/rates")
-    b.add_argument("--beta", default=None)
-    b.add_argument("--c", default=None, help="comma-separated coefficients (eq4/eq6)")
+    b.add_argument("--n", type=int)
+    b.add_argument("--r", type=int)
+    b.add_argument("--s", type=_int_list,
+                   help="orders list (eq4/eq6) or a single integer (eq5/eq7)")
+    b.add_argument("--alpha", type=_scalar_list, help="comma-separated exponents/rates")
+    b.add_argument("--beta", type=_scalar)
+    b.add_argument("--c", type=_scalar_list, help="comma-separated coefficients (eq4/eq6)")
     b.add_argument("--rhs-form", dest="rhs_form", choices=("corrected", "as_printed"),
                    default="corrected")
     _add_common(b)
-    b.set_defaults(handler=_handle_binomid)
+    # two_term_c: the fixed c = (-1, 1) of eq5/eq7, lifted by --float like any input
+    b.set_defaults(handler=_handle_binomid, two_term_c=[Scalar.exact(-1), Scalar.exact(1)])
 
     le = sub.add_parser("lemma", help="check the zero-power derivative lemma")
-    le.add_argument("--f", default=None)
-    le.add_argument("--n", type=int, default=None)
-    le.add_argument("--at", default=None)
+    le.add_argument("--f", type=_expr)
+    le.add_argument("--n", type=int)
+    le.add_argument("--at", type=_scalar)
     _add_common(le)
     le.set_defaults(handler=_handle_lemma)
 
@@ -269,25 +277,29 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--max-r", dest="max_r", type=int, default=3)
     sw.add_argument("--coeff-bound", dest="coeff_bound", type=int, default=4)
     sw.add_argument("--degree-bound", dest="degree_bound", type=int, default=3)
-    sw.add_argument("--identities", default=None,
+    sw.add_argument("--identities",
                     help=f"comma-separated subset of: {','.join(IDENTITIES)}")
     sw.add_argument("--negative", action="store_true",
                     help="break each hypothesis and expect precondition_violated")
     sw.add_argument("--json", dest="as_json", action="store_true")
     sw.set_defaults(handler=_handle_sweep)
 
+    parser.value_flags = set().union(*(sp.value_flags for sp in sub.choices.values()))
     return parser
 
 
-def _maybe_float(s: Scalar, args: argparse.Namespace) -> Scalar:
-    return s.to_float() if args.float_mode else s
+def _to_float(value):
+    """The --float lift: a Scalar, or each Scalar in a list, becomes a float."""
+    if isinstance(value, list):
+        return [_to_float(v) for v in value]
+    return value.to_float() if isinstance(value, Scalar) else value
 
 
-def _perturbation(args: argparse.Namespace) -> Scalar | None:
-    if args.perturb_rhs is None:
-        return None
-    shift = _parse_scalar(args.perturb_rhs, "--perturb-rhs")
-    return _maybe_float(shift, args)
+def _one(values: list[Expr], flag: str) -> Expr:
+    """The single expression that ``flag`` holds for identities taking one."""
+    if len(values) != 1:
+        raise UsageError(f"argument {flag}: expected one expression, got {len(values)}")
+    return values[0]
 
 
 def _emit_single(report: VerificationReport, args: argparse.Namespace, stdout: TextIO) -> int:
@@ -303,90 +315,51 @@ def _emit_single(report: VerificationReport, args: argparse.Namespace, stdout: T
 
 def _handle_verify(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
     identity = args.identity
-    shift = _perturbation(args)
-    if identity == "baran":
-        _require(args, "verify baran", "--n", "--f", "--g", "--at")
-        report = baran_verify(
-            args.n,
-            _parse_expr(args.f, "--f"),
-            _parse_expr(args.g, "--g"),
-            _maybe_float(_parse_scalar(args.at, "--at"), args),
-            tol=args.tol, rhs_shift=shift,
-        )
+    common = {"tol": args.tol, "rhs_shift": args.perturb_rhs}
+    if identity in ("baran", "leibniz_product"):
+        _require(args, f"verify {identity}", "--n", "--f", "--g", "--at")
+        verifier = baran_verify if identity == "baran" else leibniz_product_verify
+        report = verifier(args.n, _one(args.f, "--f"), _one(args.g, "--g"), args.at, **common)
     elif identity == "theorem1":
         _require(args, "verify theorem1", "--n", "--s", "--f", "--g", "--at")
-        f = _parse_expr_list(args.f, "--f")
-        g = _parse_expr_list(args.g, "--g")
-        s = _parse_int_list(args.s, "--s")
-        r = args.r if args.r is not None else len(f)
         inst = TheoremInstance(
-            n=args.n, r=r, f=tuple(f), g=tuple(g), s=MultiIndex(tuple(s)),
-            x0=_maybe_float(_parse_scalar(args.at, "--at"), args),
+            n=args.n, r=args.r if args.r is not None else len(args.f),
+            f=tuple(args.f), g=tuple(args.g), s=MultiIndex(tuple(args.s)), x0=args.at,
         )
-        report = theorem1_verify(inst, tol=args.tol, rhs_shift=shift)
+        report = theorem1_verify(inst, **common)
     elif identity == "corollary2":
         _require(args, "verify corollary2", "--n", "--s", "--c", "--f", "--g", "--at")
-        f = _parse_expr_list(args.f, "--f")
-        c = [_maybe_float(ci, args) for ci in _parse_scalar_list(args.c, "--c")]
         report = corollary2_verify(
-            args.n, f, _parse_expr(args.g, "--g"), c,
-            _parse_int_list(args.s, "--s"),
-            _maybe_float(_parse_scalar(args.at, "--at"), args),
-            r=args.r, tol=args.tol, rhs_shift=shift,
-        )
-    elif identity == "symmetric_pair":
-        _require(args, "verify symmetric_pair", "--n", "--p", "--f1", "--f2", "--g", "--at")
-        report = symmetric_pair_verify(
-            args.n, args.p,
-            _parse_expr(args.f1, "--f1"),
-            _parse_expr(args.f2, "--f2"),
-            _parse_expr(args.g, "--g"),
-            _maybe_float(_parse_scalar(args.at, "--at"), args),
-            tol=args.tol, rhs_shift=shift,
+            args.n, args.f, _one(args.g, "--g"), args.c, args.s, args.at, r=args.r, **common,
         )
     else:
-        _require(args, "verify leibniz_product", "--n", "--f", "--g", "--at")
-        report = leibniz_product_verify(
-            args.n,
-            _parse_expr(args.f, "--f"),
-            _parse_expr(args.g, "--g"),
-            _maybe_float(_parse_scalar(args.at, "--at"), args),
-            tol=args.tol, rhs_shift=shift,
+        _require(args, "verify symmetric_pair", "--n", "--p", "--f1", "--f2", "--g", "--at")
+        report = symmetric_pair_verify(
+            args.n, args.p, args.f1, args.f2, _one(args.g, "--g"), args.at, **common,
         )
     return _emit_single(report, args, stdout)
 
 
 def _handle_binomid(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
     form = args.form
-    shift = _perturbation(args)
     _require(args, f"binomid {form}", "--n", "--s", "--alpha", "--beta")
-    alpha = [_maybe_float(a, args) for a in _parse_scalar_list(args.alpha, "--alpha")]
-    beta = _maybe_float(_parse_scalar(args.beta, "--beta"), args)
-
     if form in ("eq5", "eq7"):
-        s_values = _parse_int_list(args.s, "--s")
-        if len(s_values) != 1:
+        if len(args.s) != 1:
             raise UsageError(f"binomid {form} takes a single integer --s")
-        s_single = s_values[0]
-        if not 0 <= s_single <= args.n:
+        if not 0 <= args.s[0] <= args.n:
             raise UsageError(f"binomid {form} needs 0 <= s <= n")
-        if len(alpha) != 2:
+        if len(args.alpha) != 2:
             raise UsageError(f"binomid {form} takes exactly two --alpha values")
-        s = MultiIndex((s_single, args.n - s_single))
-        c = [_maybe_float(Scalar.exact(-1), args), _maybe_float(Scalar.exact(1), args)]
+        s, c = MultiIndex((args.s[0], args.n - args.s[0])), args.two_term_c
     else:
         _require(args, f"binomid {form}", "--c")
-        s = MultiIndex(tuple(_parse_int_list(args.s, "--s")))
-        c = [_maybe_float(ci, args) for ci in _parse_scalar_list(args.c, "--c")]
+        s, c = MultiIndex(tuple(args.s)), args.c
 
+    common = {"r": args.r, "tol": args.tol, "rhs_shift": args.perturb_rhs}
     if form in ("eq4", "eq5"):
-        report = power_family_check(
-            args.n, alpha, beta, c, s, r=args.r, tol=args.tol, rhs_shift=shift,
-        )
+        report = power_family_check(args.n, args.alpha, args.beta, c, s, **common)
     else:
-        report = exp_family_check(
-            args.n, alpha, beta, c, s, args.rhs_form, r=args.r, tol=args.tol, rhs_shift=shift,
-        )
+        report = exp_family_check(args.n, args.alpha, args.beta, c, s, args.rhs_form, **common)
     report = replace(report, params={"form": form, **report.params})
     return _emit_single(report, args, stdout)
 
@@ -394,10 +367,7 @@ def _handle_binomid(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) ->
 def _handle_lemma(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
     _require(args, "lemma", "--f", "--n", "--at")
     report = zero_power_lemma_check(
-        _parse_expr(args.f, "--f"),
-        args.n,
-        _maybe_float(_parse_scalar(args.at, "--at"), args),
-        tol=args.tol, rhs_shift=_perturbation(args),
+        args.f, args.n, args.at, tol=args.tol, rhs_shift=args.perturb_rhs,
     )
     return _emit_single(report, args, stdout)
 
@@ -410,14 +380,9 @@ def _handle_sweep(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> i
     else:
         names = IDENTITIES
     config = SweepConfig(
-        seed=args.seed,
-        trials=args.trials,
-        max_n=args.max_n,
-        max_r=args.max_r,
-        coeff_bound=args.coeff_bound,
-        degree_bound=args.degree_bound,
-        identities=names,
-        negative=args.negative,
+        seed=args.seed, trials=args.trials, max_n=args.max_n, max_r=args.max_r,
+        coeff_bound=args.coeff_bound, degree_bound=args.degree_bound,
+        identities=names, negative=args.negative,
     )
     summary = sweep(config)
     stdout.write(emit_summary(summary, "json" if args.as_json else "text"))
@@ -426,45 +391,35 @@ def _handle_sweep(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> i
     return 0 if bad == 0 else 1
 
 
-# Flags that take a value.  Joining them with '=' before argparse sees them
-# lets values start with '-' (negative numbers, expressions like "-x^2").
-_VALUE_FLAGS = frozenset({
-    "--n", "--r", "--p", "--s", "--c", "--f", "--g", "--f1", "--f2", "--at",
-    "--alpha", "--beta", "--tol", "--seed", "--trials", "--max-n", "--max-r",
-    "--coeff-bound", "--degree-bound", "--identities", "--perturb-rhs",
-    "--rhs-form",
-})
-
-
-def _join_flag_values(argv: Sequence[str]) -> list[str]:
+def _join_flag_values(argv: Sequence[str], value_flags: set[str]) -> list[str]:
+    """Join each value flag with its value by '=', so argparse takes values
+    that start with '-' (negative numbers, expressions like "-x^2")."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in value_flags:
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
+
+
+# Built once: parsing only reads the parser, so concurrent run() calls share it.
+_PARSER = build_parser()
 
 
 def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
     """Parse argv, dispatch, write the report; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
         try:
-            args = parser.parse_args(_join_flag_values(argv))
+            args = _PARSER.parse_args(_join_flag_values(argv, _PARSER.value_flags))
         except SystemExit as exc:  # only --help exits here, after printing
             return exc.code
+        if getattr(args, "float_mode", False):
+            vars(args).update({key: _to_float(value) for key, value in vars(args).items()})
         return args.handler(args, stdout, stderr)
-    except UsageError as err:
-        stderr.write(f"error: {err}\n")
-        return 2
-    except (ParseError, ModeError, DomainError, ValueError) as err:
+    except (UsageError, ModeError, ValueError) as err:
         stderr.write(f"error: {err}\n")
         return 2
     except OverflowError as err:
@@ -476,7 +431,15 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Standard output closed early (a pipe into ``head``).  Pointing it at
+        # devnull keeps the flush at interpreter exit from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -228,12 +228,23 @@ def _finish(
     notes: tuple[str, ...] = (),
     rhs_shift: Scalar | None = None,
 ) -> VerificationReport:
-    """The report for plain lhs, rhs and scale values, which become Scalars here."""
+    """The report for plain lhs, rhs and scale values, which become Scalars here.
+
+    A float check whose |rhs| is within the tolerance limit would pass with
+    lhs = 0 as well; it gets a note giving both numbers, and its verdict
+    stands."""
     plain = Fraction if mode == "exact" else float
     lhs, rhs, scale = (Scalar(plain(v)) for v in (lhs, rhs, scale))
     if rhs_shift is not None:
         rhs = rhs + (rhs_shift.to_float() if mode == "float" else rhs_shift)
         notes = notes + (f"rhs perturbed by {rhs_shift.as_text()}",)
+    if mode == "float" and rhs.value != 0:
+        limit = tol * max(1.0, scale.value)
+        if limit >= abs(rhs.value):
+            notes = notes + (
+                f"vacuous check: |rhs| = {_text(abs(rhs.value))} is within the tolerance "
+                f"limit {_text(limit)}, so lhs = 0 would also pass",
+            )
     residual = lhs - rhs
     return VerificationReport(
         identity=identity,

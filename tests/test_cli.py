@@ -293,3 +293,112 @@ def test_subprocess_exit_codes():
         capture_output=True, text=True,
     )
     assert bad.returncode == 2
+
+
+def test_vacuous_float_check_carries_a_note():
+    # |rhs| = 7.2e86 is far below tol * scale = 4.6e187, so lhs = 0 would pass as well
+    code, doc = invoke_json(
+        "verify", "baran", "--n", "200", "--f", "x", "--g", "exp(x)", "--at", "1", "--float", "--json",
+    )
+    assert code == 0 and doc["verdict"] == "pass"
+    (note,) = [note for note in doc["notes"] if note.startswith("vacuous check")]
+    assert "7.225973768125673e+86" in note and "lhs = 0 would also pass" in note
+
+
+def test_ordinary_float_pass_has_no_vacuous_note():
+    code, doc = invoke_json(
+        "verify", "baran", "--n", "3", "--f", "exp(x)", "--g", "sin(x)",
+        "--at", "1/2", "--float", "--json",
+    )
+    assert code == 0
+    assert not any("vacuous" in note for note in doc["notes"])
+
+
+def test_concurrent_runs_share_the_parser():
+    from concurrent.futures import ThreadPoolExecutor
+
+    argvs = [
+        ("verify", "baran", "--n", "4", "--f", "x^2-1", "--g", "x^3", "--at", "5/3", "--json"),
+        ("verify", "theorem1", "--n", "2", "--s", "0,2", "--f", "1,x", "--g", "-x^2,x^2", "--at", "3"),
+        ("binomid", "eq7", "--n", "3", "--s", "1", "--alpha", "0,1", "--beta", "2", "--float"),
+        ("lemma", "--f", "x^2-1", "--n", "2", "--at", "1", "--perturb-rhs", "-1/2"),
+        ("verify", "baran", "--n", "2", "--f", "x", "--g", "x^^2", "--at", "3"),
+        ("sweep", "--seed", "5", "--trials", "8", "--json"),
+    ] * 4
+    serial = [invoke(*argv) for argv in argvs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-parse included
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(invoke, *argv) for argv in argvs]
+            concurrent = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
+
+
+def test_help_works_twice(capsys):
+    for _ in range(2):
+        assert invoke("verify", "--help")[0] == 0
+        assert "usage: jetcheck verify" in capsys.readouterr().out
+
+
+# One subcommand prefix for each flag that takes a value.
+VALUE_FLAG_PREFIXES = {
+    "--n": ("verify", "baran"), "--r": ("verify", "theorem1"), "--p": ("verify", "symmetric_pair"),
+    "--s": ("verify", "theorem1"), "--c": ("verify", "corollary2"), "--f": ("verify", "baran"),
+    "--g": ("verify", "baran"), "--f1": ("verify", "symmetric_pair"),
+    "--f2": ("verify", "symmetric_pair"), "--at": ("verify", "baran"),
+    "--tol": ("verify", "baran"), "--perturb-rhs": ("lemma",), "--alpha": ("binomid", "eq4"),
+    "--beta": ("binomid", "eq4"), "--rhs-form": ("binomid", "eq6"), "--seed": ("sweep",),
+    "--trials": ("sweep",), "--max-n": ("sweep",), "--max-r": ("sweep",),
+    "--coeff-bound": ("sweep",), "--degree-bound": ("sweep",), "--identities": ("sweep",),
+}
+
+
+def test_value_flags_come_from_the_parser():
+    from jetcheck import cli
+
+    assert cli._PARSER.value_flags == set(VALUE_FLAG_PREFIXES)
+
+
+@pytest.mark.parametrize("flag", sorted(VALUE_FLAG_PREFIXES))
+def test_every_value_flag_takes_a_value_starting_with_minus(flag):
+    # argparse alone reads "-x" as an option and reports the flag's argument
+    # missing; here "-x" reaches the flag's type or check, and any error is a
+    # one-line message about the value or the rest of the call.
+    code, out, err = invoke(*VALUE_FLAG_PREFIXES[flag], flag, "-x")
+    assert "expected one argument" not in err and "unrecognized" not in err
+    assert code in (0, 1) or (err.startswith("error: ") and err.count("\n") == 1)
+
+
+def test_single_expression_flag_rejects_a_list():
+    code, out, err = invoke("verify", "baran", "--n", "2", "--f", "x,x", "--g", "x^2", "--at", "3")
+    assert code == 2 and out == ""
+    assert err == "error: argument --f: expected one expression, got 2\n"
+
+
+def test_unused_flag_value_is_still_checked():
+    # baran takes no --c, but a malformed --c is a usage error, not ignored
+    code, out, err = invoke("verify", "baran", "--n", "2", "--f", "x", "--g", "x^2", "--at", "3",
+                            "--c", "abc")
+    assert code == 2 and out == ""
+    assert err == "error: argument --c: expected an integer, p/q, or decimal, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "baran", "--n", "3", "--f", "x", "--g", "x^2", "--at", "1", "--json"),
+    ("sweep", "--seed", "3", "--trials", "4", "--json"),
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    import os
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will ever read: every write raises BrokenPipeError
+    try:
+        proc = subprocess.run([sys.executable, "-m", "jetcheck.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
