@@ -61,11 +61,16 @@ class UsageError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
+class _Help(Exception):
+    """--help was given; carries the help text for :func:`run` to write."""
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a usage error by raising UsageError,
-    so :func:`run` writes it as one line to its own ``stderr``; subcommand
-    parsers inherit the class.  ``value_flags`` holds the option strings of
-    the flags added to it that take a value."""
+    so :func:`run` writes it as one line to its own ``stderr``, and its help
+    text by raising _Help, so :func:`run` writes it to its own ``stdout``;
+    subcommand parsers inherit the class.  ``value_flags`` holds the option
+    strings of the flags added to it that take a value."""
 
     def __init__(self, **kwargs) -> None:
         self.value_flags: set[str] = set()
@@ -79,6 +84,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         raise UsageError(message)
+
+    def print_help(self, file=None) -> NoReturn:
+        raise _Help(self.format_help())
 
 
 _INT_RE = re.compile(r"[+-]?\d+$")
@@ -412,13 +420,13 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        try:
-            args = _PARSER.parse_args(_join_flag_values(argv, _PARSER.value_flags))
-        except SystemExit as exc:  # only --help exits here, after printing
-            return exc.code
+        args = _PARSER.parse_args(_join_flag_values(argv, _PARSER.value_flags))
         if getattr(args, "float_mode", False):
             vars(args).update({key: _to_float(value) for key, value in vars(args).items()})
         return args.handler(args, stdout, stderr)
+    except _Help as help_text:
+        stdout.write(str(help_text))
+        return 0
     except (UsageError, ModeError, ValueError) as err:
         stderr.write(f"error: {err}\n")
         return 2

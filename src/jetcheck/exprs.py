@@ -22,6 +22,7 @@ returning a rounded value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -186,10 +187,6 @@ def pow_real(e: Expr, alpha: Scalar) -> Expr:
     return PowReal(e, alpha)
 
 
-def apply(fn: str, e: Expr) -> Expr:
-    return Apply(fn, e)
-
-
 def diff(e: Expr) -> Expr:
     """Symbolic derivative with respect to x."""
     return _diff(e, {})
@@ -269,24 +266,6 @@ def contains_float(e: Expr) -> bool:
         return (not e.exponent.is_exact) or contains_float(e.base)
     if isinstance(e, Apply):
         return contains_float(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def is_rational_closed(e: Expr) -> bool:
-    """True when evaluation stays inside the rationals: no transcendental
-    nodes, no non-integer powers, no float literals."""
-    if isinstance(e, (Apply, PowReal)):
-        return False
-    if isinstance(e, Const):
-        return e.value.is_exact
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Neg):
-        return is_rational_closed(e.arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return is_rational_closed(e.left) and is_rational_closed(e.right)
-    if isinstance(e, PowInt):
-        return is_rational_closed(e.base)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -401,50 +380,47 @@ def eval_scalar(e: Expr, x0: Scalar) -> Scalar:
     return _eval(e, x0.to_float() if lift else x0, lift, {})
 
 
+def _named(node: Expr, op, *operands) -> Jet:
+    """op(*operands), with a domain error naming ``node``; the operands are
+    built before the call, so their own errors are named only once."""
+    try:
+        return op(*operands)
+    except DomainError as err:
+        raise DomainError(f"{err} in '{to_text(node)}'") from None
+
+
 def eval_jet(e: Expr, x0: Scalar, order: int) -> Jet:
     """Evaluate into an order-n jet at x0, by structural recursion onto the
     jet operations.  Mode selection matches :func:`eval_scalar`."""
     lift = contains_float(e) or not x0.is_exact
-    seed = Jet.variable(x0.to_float() if lift else x0, order)
+    return _jet(e, Jet.variable(x0.to_float() if lift else x0, order))
 
-    def rec(node: Expr) -> Jet:
-        if isinstance(node, Const):
-            v = node.value.to_float() if lift else node.value
-            return Jet.constant(v, order)
-        if isinstance(node, Var):
-            return seed
-        if isinstance(node, Neg):
-            return -rec(node.arg)
-        if isinstance(node, Add):
-            return rec(node.left) + rec(node.right)
-        if isinstance(node, Sub):
-            return rec(node.left) - rec(node.right)
-        if isinstance(node, Mul):
-            return rec(node.left) * rec(node.right)
-        if isinstance(node, Div):
-            try:
-                return rec(node.left) / rec(node.right)
-            except DomainError as err:
-                raise DomainError(f"{err} in '{to_text(node)}'") from None
-        if isinstance(node, PowInt):
-            try:
-                return rec(node.base) ** node.exponent
-            except DomainError as err:
-                raise DomainError(f"{err} in '{to_text(node)}'") from None
-        if isinstance(node, PowReal):
-            alpha = node.exponent.to_float() if lift and node.exponent.is_exact else node.exponent
-            try:
-                return rec(node.base).pow_real(alpha)
-            except DomainError as err:
-                raise DomainError(f"{err} in '{to_text(node)}'") from None
-        if isinstance(node, Apply):
-            try:
-                return rec(node.arg).apply(node.fn)
-            except DomainError as err:
-                raise DomainError(f"{err} in '{to_text(node)}'") from None
-        raise TypeError(f"not an expression node: {node!r}")
 
-    return rec(e)
+def _jet(node: Expr, seed: Jet) -> Jet:
+    """:func:`eval_jet` of a subtree; ``seed``, the jet of x, fixes order and
+    mode.  Not a closure, so an evaluation leaves no reference cycle behind."""
+    if isinstance(node, Const):
+        return Jet.constant(node.value if seed.is_exact else node.value.to_float(), seed.order)
+    if isinstance(node, Var):
+        return seed
+    if isinstance(node, Neg):
+        return -_jet(node.arg, seed)
+    if isinstance(node, Add):
+        return _jet(node.left, seed) + _jet(node.right, seed)
+    if isinstance(node, Sub):
+        return _jet(node.left, seed) - _jet(node.right, seed)
+    if isinstance(node, Mul):
+        return _jet(node.left, seed) * _jet(node.right, seed)
+    if isinstance(node, Div):
+        return _named(node, operator.truediv, _jet(node.left, seed), _jet(node.right, seed))
+    if isinstance(node, PowInt):
+        return _named(node, operator.pow, _jet(node.base, seed), node.exponent)
+    if isinstance(node, PowReal):
+        alpha = node.exponent if seed.is_exact else node.exponent.to_float()
+        return _named(node, Jet.pow_real, _jet(node.base, seed), alpha)
+    if isinstance(node, Apply):
+        return _named(node, Jet.apply, _jet(node.arg, seed), node.fn)
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def nth_derivative(e: Expr, k: int, x0: Scalar) -> Scalar:

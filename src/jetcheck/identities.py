@@ -45,11 +45,13 @@ machine (Python 3.11) theorem1 at n = 12, r = 6 drops from about 24 s to
 
 Between its edges the module works on plain values: ``Fraction`` in exact
 mode, ``float`` in float mode.  Scalar inputs become plain values as soon as
-:func:`_mode_for` has chosen the mode, jets are read through :func:`_raw`,
-and only :func:`_finish` and :func:`_precondition_violated` build the
-report's Scalars.  Every weighted right-hand side (n!, multinomial(n, s), or
-1 for baran) is formed exactly by :func:`_product` and, in float mode,
-rounded once, so n! never has to fit in a float on its own.
+:func:`_mode_for` has chosen the mode, jets are read through
+:meth:`Jet.plain`, and only :func:`_finish` and :func:`_precondition_violated`
+build the report's Scalars.  Series products and powers, and every sum over
+coefficient values, come from the series core in :mod:`jetcheck.jets`.
+Every weighted right-hand side (n!, multinomial(n, s), or 1 for baran) is
+formed exactly by :func:`_product` and, in float mode, rounded once, so n!
+never has to fit in a float on its own.
 
 All verifiers are pure functions; :func:`sweep` derives one RNG per trial
 from the master seed, so summaries are reproducible regardless of the order
@@ -78,7 +80,7 @@ from .exprs import (
     to_text,
     X,
 )
-from .jets import Jet
+from .jets import Jet, coefficient, ordered_sum, series_mul, series_pow
 from .numeric import (
     MultiIndex,
     Scalar,
@@ -184,11 +186,6 @@ def _plain(scalars: Sequence[Scalar], mode: str) -> list:
     return [float(v) if mode == "float" else v.value for v in scalars]
 
 
-def _raw(jet: Jet) -> list:
-    """A jet's Taylor coefficients as plain Fraction or float values."""
-    return [c.value for c in jet.coeffs]
-
-
 def _slope(coeffs: Sequence):
     """The first derivative from Taylor coefficients; 0 for an order-0 jet,
     whose slope is only ever raised to the power 0."""
@@ -280,10 +277,10 @@ def _precondition_violated(
 def _hypothesis_note(what: str, values: Sequence, mode: str) -> str | None:
     """The note when a hypothesis that ``values`` sum to zero fails (in float
     mode: beyond HYPOTHESIS_TOL * (1 + the sum of magnitudes)), else None."""
-    total = sum(values)
+    total = ordered_sum(values)
     if total == 0:
         return None
-    if mode == "float" and abs(total) <= HYPOTHESIS_TOL * (1.0 + sum(map(abs, values))):
+    if mode == "float" and abs(total) <= HYPOTHESIS_TOL * (1.0 + ordered_sum(map(abs, values))):
         return None
     return f"hypothesis failed: {what} is {_text(total)}, not 0"
 
@@ -321,19 +318,15 @@ def _convolve(tables: Sequence[Sequence], n: int) -> tuple:
 
 
 def _binomial_convolution(a: Sequence, b: Sequence) -> list:
-    return [sum(math.comb(m, j) * a[j] * b[m - j] for j in range(m + 1)) for m in range(len(a))]
-
-
-def _coefficient(a: Sequence, b: Sequence, m: int):
-    """[t^m] of the product of two coefficient lists."""
-    return sum(a[j] * b[m - j] for j in range(m + 1))
+    return [ordered_sum(math.comb(m, j) * a[j] * b[m - j] for j in range(m + 1))
+            for m in range(len(a))]
 
 
 def _powers(g: Sequence, n: int) -> list[list]:
     """Coefficients of g^0 .. g^n, each truncated to the order of g."""
     powers = [[1] + [0] * (len(g) - 1)]
     for _ in range(n):
-        powers.append([_coefficient(powers[-1], g, m) for m in range(len(g))])
+        powers.append(series_mul(powers[-1], g))
     return powers
 
 
@@ -341,7 +334,7 @@ def _derivative_table(f: Sequence, g_powers: Sequence[Sequence], s: int, c=1) ->
     """[c^k (f * g^k)^(s)(x0) for each k]: one dot product per entry, because
     only the s-th coefficient of f * g^k is read."""
     weight = math.factorial(s)
-    return [c ** k * (weight * _coefficient(f, p, s)) for k, p in enumerate(g_powers)]
+    return [c ** k * (weight * coefficient(f, p, s)) for k, p in enumerate(g_powers)]
 
 
 def _collapse_rhs(n: int, s: MultiIndex, f: Sequence[Sequence], slopes: Iterable[tuple], mode: str):
@@ -374,8 +367,8 @@ def theorem1_verify(
         "x0": inst.x0.as_text(),
     }
     x0, mode = _mode_for(inst.x0, inst.f + inst.g)
-    f = [_raw(eval_jet(e, x0, si)) for e, si in zip(inst.f, s)]
-    g = [_raw(eval_jet(e, x0, si)) for e, si in zip(inst.g, s)]
+    f = [eval_jet(e, x0, si).plain() for e, si in zip(inst.f, s)]
+    g = [eval_jet(e, x0, si).plain() for e, si in zip(inst.g, s)]
 
     note = _hypothesis_note("sum of g_i at x0", [gi[0] for gi in g], mode)
     if note is not None:
@@ -406,8 +399,8 @@ def _corollary2_core(
     if note is not None:
         return _precondition_violated(identity, params, mode, tol, note)
 
-    f = [_raw(eval_jet(e, x0, si)) for e, si in zip(f, s)]
-    g = _raw(eval_jet(g, x0, max(s)))
+    f = [eval_jet(e, x0, si).plain() for e, si in zip(f, s)]
+    g = eval_jet(g, x0, max(s)).plain()
     g_powers = _powers(g, n)
     lhs, scale = _convolve(
         [_derivative_table(fi, g_powers, si, ci) for fi, ci, si in zip(f, c, s)], n
@@ -497,10 +490,10 @@ def baran_verify(
     _check_sizes(n)
     params = {"n": str(n), "f": to_text(f), "g": to_text(g), "x0": x0.as_text()}
     x0, mode = _mode_for(x0, (f, g))
-    f, g = _raw(eval_jet(f, x0, n)), _raw(eval_jet(g, x0, n))
+    f, g = eval_jet(f, x0, n).plain(), eval_jet(g, x0, n).plain()
     # The 1/n! cancels the n! of the n-th derivative, leaving [t^n](f g^j).
     lhs, scale = _convolve(
-        [[(-g[0]) ** k for k in range(n + 1)], [_coefficient(f, p, n) for p in _powers(g, n)]], n
+        [[(-g[0]) ** k for k in range(n + 1)], [coefficient(f, p, n) for p in _powers(g, n)]], n
     )
     rhs = _product(1, [(f[0], 1), (_slope(g), n)], mode)
     return _finish("baran", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
@@ -524,20 +517,20 @@ def leibniz_product_verify(
     _check_sizes(n)
     params = {"n": str(n), "f": to_text(f), "g": to_text(g), "x0": x0.as_text()}
     x0, mode = _mode_for(x0, (f, g))
-    fjet = eval_jet(f, x0, n)
-    gjet = eval_jet(g, x0, n)
+    f, g = eval_jet(f, x0, n).plain(), eval_jet(g, x0, n).plain()
     # The outer factor x0 multiplies every term, so it goes into the first table.
-    ftable = _monomial_table(_raw(fjet), x0.value)
-    gtable = _monomial_table(_raw(gjet), x0.value)
+    ftable = _monomial_table(f, x0.value)
+    gtable = _monomial_table(g, x0.value)
     lhs, scale = _convolve([[x0.value * v for v in ftable], gtable], n)
-    top = _raw(Jet.variable(x0, n) ** (n + 1) * fjet * gjet)[n]
+    top = series_mul(series_mul(series_pow(Jet.variable(x0, n).plain(), n + 1), f), g)[n]
     rhs = _product(math.factorial(n), [(top, 1)], mode)
     return _finish("leibniz_product", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
 def _monomial_table(h: Sequence, x0) -> list:
     """[(x^k h)^(k)(x0) for k = 0..order of h], by [t^k] (x0 + t)^k h = sum_j C(k, j) x0^j h_j."""
-    return [math.factorial(k) * sum(math.comb(k, j) * x0 ** j * h[j] for j in range(k + 1))
+    return [math.factorial(k) * ordered_sum(math.comb(k, j) * x0 ** j * h[j]
+                                            for j in range(k + 1))
             for k in range(len(h))]
 
 
@@ -678,15 +671,15 @@ def zero_power_lemma_check(
     _check_sizes(n)
     params = {"f": to_text(f), "n": str(n), "x0": x0.as_text()}
     x0, mode = _mode_for(x0, (f,))
-    fjet = eval_jet(f, x0, n)
-    note = _hypothesis_note("f(x0)", _raw(fjet)[:1], mode)
+    f = eval_jet(f, x0, n).plain()
+    note = _hypothesis_note("f(x0)", f[:1], mode)
     if note is not None:
         return _precondition_violated("zero_power_lemma", params, mode, tol, note)
 
     *lows, lhs = [_product(math.factorial(k), [(v, 1)], mode)
-                  for k, v in enumerate(_raw(fjet ** n))]
-    scale = sum(map(abs, [lhs, *lows]))
-    rhs = _product(math.factorial(n), [(_slope(_raw(fjet)), n)], mode)
+                  for k, v in enumerate(series_pow(f, n))]
+    scale = ordered_sum(map(abs, [lhs, *lows]))
+    rhs = _product(math.factorial(n), [(_slope(f), n)], mode)
 
     report = _finish("zero_power_lemma", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
     bad = [k for k, low in enumerate(lows) if _verdict_for(low, scale, mode, tol) == "fail"]

@@ -18,16 +18,54 @@ for almost every rational input.  Asking for them on an exact jet raises
 
 Jets are immutable values; every operation returns a fresh jet, so they are
 safe to share between threads.
+
+The series core works on plain Fraction or float coefficient lists and
+serves both jets and the verifiers: one Cauchy product (:func:`coefficient`),
+one integer-power loop (:func:`series_pow`) and one summation order
+(:func:`ordered_sum`), so float digits do not depend on the Python version.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .numeric import DomainError, ModeError, Scalar, one, zero
 
 ELEMENTARY_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
+
+
+def ordered_sum(terms: Iterable):
+    """Add left to right from the integer 0, as the built-in ``sum`` did
+    before Python 3.12 compensated float sums; the order fixes the rounding."""
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def coefficient(a: Sequence, b: Sequence, m: int):
+    """[t^m] of the product of two coefficient lists."""
+    return ordered_sum(a[j] * b[m - j] for j in range(m + 1))
+
+
+def series_mul(a: Sequence, b: Sequence) -> list:
+    """The Cauchy product of two coefficient lists, truncated to the length of a."""
+    return [coefficient(a, b, m) for m in range(len(a))]
+
+
+def series_pow(a: Sequence, m: int) -> list:
+    """a**m for m >= 0 by square-and-multiply, from a constant one of the
+    coefficients' own type, so a float list stays float."""
+    unit = a[0] ** 0
+    result = [unit] + [unit * 0] * (len(a) - 1)
+    while m > 0:
+        if m & 1:
+            result = series_mul(result, a)
+        m >>= 1
+        if m:
+            a = series_mul(a, a)
+    return result
 
 
 class Jet:
@@ -83,6 +121,10 @@ class Jet:
         """Value of the function at the expansion point."""
         return self.coeffs[0]
 
+    def plain(self) -> list:
+        """The Taylor coefficients as plain Fraction or float values."""
+        return [c.value for c in self.coeffs]
+
     def derivative(self, k: int) -> Scalar:
         """The k-th derivative at the expansion point, k! * coeffs[k]."""
         if k < 0 or k > self.order:
@@ -116,37 +158,19 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         self._check_compatible(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            acc = a[0] * b[k]
-            for j in range(1, k + 1):
-                acc = acc + a[j] * b[k - j]
-            out.append(acc)
-        return Jet(out)
+        # A list, not map(): tuple() of an iterator resizes, which grew peak RSS over runs.
+        return Jet([Scalar(v) for v in series_mul(self.plain(), other.plain())])
 
     __rmul__ = __mul__
 
     def __pow__(self, m: int) -> Jet:
-        """Integer power by square-and-multiply; a**0 is the constant-one jet.
-
-        Negative exponents go through division and require a nonzero value at
-        the expansion point.
-        """
+        """Integer power; a**0 is the constant-one jet.  Negative exponents go
+        through division and need a nonzero value at the expansion point."""
         if not isinstance(m, int) or isinstance(m, bool):
             return NotImplemented
         if m < 0:
             return Jet.constant(one(self.mode), self.order) / self ** (-m)
-        result = Jet.constant(one(self.mode), self.order)
-        base = self
-        while m > 0:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+        return Jet([Scalar(v) for v in series_pow(self.plain(), m)])
 
     def __truediv__(self, other: object) -> Jet:
         if isinstance(other, (Scalar, int)):
@@ -156,15 +180,14 @@ class Jet:
         self._check_compatible(other)
         if other.coeffs[0] == 0:
             raise DomainError("division by a jet that vanishes at the expansion point")
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out: list[Scalar] = []
-        for k in range(n + 1):
+        a, b = self.plain(), other.plain()
+        out: list = []
+        for k in range(len(a)):
             acc = a[k]
             for j in range(k):
                 acc = acc - out[j] * b[k - j]
             out.append(acc / b[0])
-        return Jet(out)
+        return Jet([Scalar(v) for v in out])
 
     def __rtruediv__(self, other: object) -> Jet:
         if isinstance(other, Scalar):

@@ -73,22 +73,22 @@ def _tokenize(source: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
+            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdecimal():
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i].isdecimal():
                     i += 1
                 text = source[start:i]
                 tokens.append(_Token("num", text, start, Scalar.inexact(float(text))))
                 continue
-            if i < n and source[i] == "/" and i + 1 < n and source[i + 1].isdigit():
+            if i < n and source[i] == "/" and i + 1 < n and source[i + 1].isdecimal():
                 num = int(source[start:i])
                 den_start = i + 1
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i].isdecimal():
                     i += 1
                 den = int(source[den_start:i])
                 if den == 0:

@@ -150,9 +150,30 @@ def test_argparse_errors_are_one_line_on_the_given_stream(argv, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_help_exits_0(capsys):
-    assert invoke("--help")[0] == 0
-    assert "usage: jetcheck" in capsys.readouterr().out
+def test_help_exits_0():
+    code, out, err = invoke("--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: jetcheck")
+
+
+def test_superscript_exponent_is_one_error_line():
+    code, out, err = invoke("verify", "baran", "--n", "2", "--f", "x^²", "--g", "x", "--at", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: argument --f: parse error at offset 2")
+    assert err.count("\n") == 1 and "_expr_list" not in err
+
+
+def test_domain_error_names_the_failing_node_once():
+    code, out, err = invoke("verify", "baran", "--n", "2", "--f", "1/(1/(x-1))", "--g", "x",
+                            "--at", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: division by a jet that vanishes at the expansion point "
+                   "in '1/(x - 1)'\n")
+    code, out, err = invoke("verify", "baran", "--n", "2", "--f", "log(sqrt(x-1))", "--g", "x",
+                            "--at", "1", "--float")
+    assert code == 2 and out == ""
+    assert err == ("error: sqrt requires a positive value at the expansion point "
+                   "in 'sqrt(x - 1)'\n")
 
 
 def test_float_overflow_exits_2_with_one_line_error():
@@ -189,6 +210,16 @@ def test_large_float_baran_ends_in_a_report():
     )
     assert code in (0, 1) and err == ""
     assert "verdict: " in out
+
+
+def test_float_digits_do_not_depend_on_the_python_version():
+    # Summing left to right pins the rounding; a compensated sum (the built-in
+    # sum from Python 3.12 on) gives -1.7456684319946346e+180 here.
+    code, report = invoke_json(
+        "verify", "baran", "--n", "200", "--f", "x", "--g", "exp(x)", "--at", "1",
+        "--float", "--json",
+    )
+    assert report["lhs"] == "-9.960672820283741e+179"
 
 
 def test_deep_nesting_exits_2_with_one_line_error():
@@ -337,10 +368,11 @@ def test_concurrent_runs_share_the_parser():
     assert concurrent == serial
 
 
-def test_help_works_twice(capsys):
+def test_help_works_twice():
     for _ in range(2):
-        assert invoke("verify", "--help")[0] == 0
-        assert "usage: jetcheck verify" in capsys.readouterr().out
+        code, out, err = invoke("verify", "--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: jetcheck verify")
 
 
 # One subcommand prefix for each flag that takes a value.

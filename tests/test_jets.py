@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetcheck.jets import Jet
+from jetcheck.jets import Jet, coefficient, ordered_sum, series_mul, series_pow
 from jetcheck.numeric import DomainError, ModeError, Scalar, generalized_binomial
 
 
@@ -46,6 +46,38 @@ def test_pow_examples():
     assert exact_jet(3, 1, 0) ** 2 == exact_jet(9, 6, 1)
     assert exact_jet(5, -1, 2) ** 0 == exact_jet(1, 0, 0)
     assert exact_jet(0, 1, 0, 0) ** 3 == exact_jet(0, 0, 0, 1)
+
+
+def test_ordered_sum_adds_left_to_right():
+    # The built-in sum compensates float sums from Python 3.12 on and gives 1.0 here.
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum([]) == 0
+    assert ordered_sum([Fraction(1, 3), Fraction(1, 6)]) == Fraction(1, 2)
+
+
+def test_series_core_examples():
+    a, b = [Fraction(3), Fraction(1), Fraction(0)], [Fraction(2), Fraction(-1), Fraction(5)]
+    assert coefficient(a, b, 2) == 3 * 5 + 1 * -1 + 0 * 2
+    assert series_mul(a, b) == [6, -1, 14]
+    assert series_pow(a, 2) == [9, 6, 1]
+    assert series_pow(a, 3) == series_mul(series_mul(a, a), a)
+
+
+def test_power_zero_keeps_the_float_mode():
+    unit = series_pow([2.5, 1.0, 0.0], 0)
+    assert unit == [1.0, 0.0, 0.0] and all(type(v) is float for v in unit)
+    assert type(series_pow([Fraction(5, 2), Fraction(1)], 0)[0]) is Fraction
+    j = float_jet(2.5, 1.0, 0.0) ** 0
+    assert not j.is_exact and j == float_jet(1.0, 0.0, 0.0)
+
+
+@given(exact_jets3, st.integers(min_value=0, max_value=5))
+@settings(max_examples=50, deadline=None)
+def test_jet_power_is_repeated_product(a, m):
+    expected = Jet.constant(Scalar.exact(1), a.order)
+    for _ in range(m):
+        expected = expected * a
+    assert a ** m == expected
 
 
 def test_pow_negative_goes_through_division():

@@ -109,6 +109,17 @@ def test_unknown_character():
     assert err.value.offset == 4
 
 
+def test_superscript_digit_is_a_parse_error():
+    # '²'.isdigit() is true, but int('²') fails; the lexer reads decimal digits only
+    with pytest.raises(ParseError) as err:
+        parse("x^²")
+    assert err.value.offset == 2
+
+
+def test_non_ascii_decimal_digits_still_parse():
+    assert parse("٣*x") == Mul(C(3), Var())
+
+
 # Round-trip: printing a canonical tree and reparsing gives the same tree.
 # Canonical means constants are non-negative (negation is an explicit node)
 # and float constants have plain decimal reprs.
