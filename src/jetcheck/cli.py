@@ -167,11 +167,22 @@ def report_dict(report: VerificationReport) -> dict:
     }
 
 
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) without its pure-Python encoder, which leaves reference cycles."""
+    if not value or not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(key)}: {_json(v, inner)}" for key, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
+
+
 def emit_report(report: VerificationReport, fmt: str) -> str:
     """Render a report as text or JSON (rationals as "p/q", floats as their
     shortest round-trip decimals)."""
     if fmt == "json":
-        return json.dumps(report_dict(report), indent=2)
+        return _json(report_dict(report))
     lines = [f"identity: {report.identity}", "params:"]
     for key, value in report.params.items():
         lines.append(f"  {key} = {value}")
@@ -205,7 +216,7 @@ def summary_dict(summary: SweepSummary) -> dict:
 
 def emit_summary(summary: SweepSummary, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(summary_dict(summary), indent=2)
+        return _json(summary_dict(summary))
     cfg = summary.config
     lines = [
         f"sweep: seed={cfg.seed} trials={cfg.trials} negative={cfg.negative}",

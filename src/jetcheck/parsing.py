@@ -21,6 +21,7 @@ Notes on the lexical level:
   constant: integer exponents become integer powers (negative allowed),
   fractional ones become real powers.
 * The only variable is ``x``; any other identifier is a parse error.
+* Exponents are bounded by ``MAX_EXPONENT``, exact constant powers by ``MAX_CONSTANT_BITS`` bits.
 """
 
 from __future__ import annotations
@@ -41,9 +42,13 @@ from .exprs import (
     Add,
     Var,
     constant_value,
+    contains_float,
 )
 from .jets import ELEMENTARY_FUNCTIONS
 from .numeric import Scalar
+
+MAX_EXPONENT = 10_000
+MAX_CONSTANT_BITS = 100_000
 
 
 class ParseError(ValueError):
@@ -178,9 +183,15 @@ class _Parser:
         value = constant_value(exponent)
         if value is None:
             raise ParseError(exp_tok.offset, "a constant exponent", "a non-constant expression")
-        if value.is_exact and value.value.denominator == 1:
-            return PowInt(base, int(value.value))
-        return PowReal(base, value)
+        if not (value.is_exact and value.value.denominator == 1):
+            return PowReal(base, value)
+        k, folded = int(value.value), None if contains_float(base) else constant_value(base)
+        q = 1 if folded is None else folded.value
+        bits = abs(k) * max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+        if abs(k) > MAX_EXPONENT or bits > MAX_CONSTANT_BITS:
+            raise ParseError(exp_tok.offset, f"an exponent of magnitude at most {MAX_EXPONENT} and a "
+                             f"power of at most {MAX_CONSTANT_BITS} bits", "a larger one")
+        return PowInt(base, k)
 
     def atom(self) -> Expr:
         tok = self.peek()

@@ -235,3 +235,24 @@ def test_theorem1_n12_r6_within_budget():
         assert report.verdict == "pass"
         assert report.residual.as_ratio_text() == "0/1"
         assert report.rhs != 0
+
+
+def test_theorem1_n80_r10_within_budget():
+    with criterion("theorem1 at n = 80, r = 10 with |s| = n, degree-2 polynomials", 0.5):
+        rng = random.Random("wide:80:10:1")
+
+        def quadratic():
+            a, b, c = (Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3))
+            return parse(f"{a} + ({b})*x + ({c or 1})*x^2")
+
+        f = tuple(quadratic() for _ in range(10))
+        g_head = [quadratic() for _ in range(9)]
+        g_sum = const(0)
+        for e in g_head:
+            g_sum = add(g_sum, e)
+        inst = TheoremInstance(
+            n=80, r=10, f=f, g=tuple(g_head + [neg(g_sum)]), s=[8] * 10, x0=Scalar.exact(3, 2),
+        )
+        report = theorem1_verify(inst)
+        assert report.verdict == "pass"
+        assert report.residual.as_ratio_text() == "0/1"

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import subprocess
@@ -434,3 +435,30 @@ def test_closed_stdout_exits_141_quietly(argv):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "theorem1", "--n", "2", "--s", "0,2", "--f", "1,x", "--g", "-x^2,x^2", "--at", "3",
+     "--json"),
+    ("sweep", "--seed", "3", "--trials", "40", "--max-n", "5", "--json"),
+])
+def test_json_reports_leave_no_garbage(argv):
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, out, err = invoke(*argv)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert code == 0 and json.loads(out)
+    assert garbage == 0
+
+
+@pytest.mark.parametrize("expr", ["x^(2^2^2^2^2)", "2^2^2^2^2^2^2", "((2^999)^999)^999"])
+def test_exponent_towers_are_one_error_line(expr):
+    code, out, err = invoke("lemma", "--f", f"{expr} - 1", "--n", "1", "--at", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: argument --f: parse error") and err.count("\n") == 1
+    assert "at most 10000" in err

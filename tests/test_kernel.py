@@ -15,7 +15,7 @@ import pytest
 
 from helpers import REFERENCES, rand_polynomial
 from jetcheck import identities
-from jetcheck.exprs import Div, X, add, const, eval_scalar, neg, pow_int, sub
+from jetcheck.exprs import Div, Mul, X, add, const, eval_scalar, neg, pow_int, sub
 from jetcheck.identities import IDENTITIES, SweepConfig, TheoremInstance, sweep
 from jetcheck.numeric import MultiIndex, Scalar
 from jetcheck.parsing import parse
@@ -232,3 +232,109 @@ def test_sweep_instances_match_the_reference_in_both_modes(monkeypatch):
         summary = sweep(SweepConfig(seed=seed, trials=42, identities=names))
         assert summary.counts["pass"] == 42
     assert len(seen) == 420 and set(seen) == set(REFERENCES)
+
+
+# Tables cleared to integers over one denominator: coprime denominators in x0,
+# the coefficients, c, alpha and beta make every table's denominator differ.
+
+POINTS = (Scalar.exact(7, 11), Scalar.exact(-5, 13))
+C2 = (Scalar.exact(2, 3), Scalar.exact(-2, 3))
+C3 = (Scalar.exact(4, 9), Scalar.exact(2, 7), Scalar.exact(-46, 63))
+
+
+def _rational_poly(seed, degree=3):
+    """A polynomial whose coefficients have denominators 2, 3, 5 and 7."""
+    rng = random.Random(seed)
+    terms = const(0)
+    for j, den in zip(range(degree + 1), (2, 3, 5, 7)):
+        coeff = Scalar.exact(rng.choice((-3, -1, 1, 2, 4)), den)
+        terms = add(terms, Mul(const(coeff), pow_int(X, j)))
+    return terms
+
+
+def _flat_at(x0):
+    """g = (x - x0)^2: g(x0) = 0 and g'(x0) = 0."""
+    return pow_int(sub(X, const(x0)), 2)
+
+
+def _cleared_grid(name):
+    p0, p1, p2, p3 = (_rational_poly(f"{name}:{i}") for i in range(4))
+    for x0 in POINTS:
+        if name == "theorem1_verify":
+            # r = 1 (g(x0) = 0 and g'(x0) = 0), then r = 2 and 3 with s_i = 0 entries.
+            yield (TheoremInstance(n=3, r=1, f=(p0,), g=(_flat_at(x0),), s=(3,), x0=x0),)
+            yield (TheoremInstance(n=4, r=1, f=(p1,), g=(sub(p2, const(eval_scalar(p2, x0))),),
+                                   s=(2,), x0=x0),)
+            yield (TheoremInstance(n=0, r=2, f=(p0, p1), g=(p2, neg(p2)), s=(0, 0), x0=x0),)
+            yield (TheoremInstance(n=5, r=3, f=(p0, p1, p2), g=(p3, p1, neg(add(p3, p1))),
+                                   s=(3, 0, 2), x0=x0),)
+        elif name == "corollary2_verify":
+            yield (0, (p0, p1), p2, C2, (0, 0), x0)
+            yield (4, (p0, p1), _flat_at(x0), C2, (4, 0), x0)
+            yield (5, (p0, p1, p2), p3, C3, (2, 0, 3), x0)
+            yield (5, (p0, p1, p2), p3, C3, (1, 1, 1), x0)
+        elif name == "symmetric_pair_verify":
+            for n, p in ((0, 0), (3, 0), (4, 2), (5, 5)):
+                yield (n, p, p0, p1, p2, x0)
+            yield (4, 1, p0, p1, _flat_at(x0), x0)
+        else:  # baran, leibniz: zero and flat g included
+            for n in (0, 1, 4, 6):
+                yield (n, p0, p1, x0)
+            yield (4, p2, _flat_at(x0), x0)
+            yield (3, p3, sub(p1, const(eval_scalar(p1, x0))), x0)
+
+
+def _cleared_family_grid(name):
+    alpha2 = (Scalar.exact(3, 5), Scalar.exact(-7, 6))
+    alpha3 = alpha2 + (Scalar.exact(1, 5),)
+    for beta in (Scalar.exact(5, 6), Scalar.exact(-2, 5)):
+        yield (0, alpha2, beta, C2, (0, 0))
+        yield (1, alpha2, beta, C2, (0, 1))
+        yield (4, alpha2, beta, C2, (4, 0))
+        yield (6, alpha3, beta, C3, (3, 0, 3))
+        yield (5, alpha3, beta, C3, (1, 2, 2))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_cleared_tables_equal_the_reference_with_coprime_denominators(name):
+    grid = _cleared_family_grid if name.endswith("family_check") else _cleared_grid
+    checked = 0
+    for args in grid(name):
+        report = VERIFIERS[name](*args)
+        lhs, scale = REFERENCES[name](*args)
+        assert report.mode == "exact" and report.verdict == "pass", (name, args, report)
+        assert report.lhs == lhs and report.cancellation_scale == scale, (name, args)
+        checked += 1
+    assert checked >= 8
+
+
+def test_exact_fold_runs_on_integers_and_divides_twice(monkeypatch):
+    """Every entry the exact fold sees is an int, and each kernel call builds
+    exactly two Fractions: the lhs and the scale."""
+    entries_are_ints, built = [], []
+    fold, convolve = identities._binomial_convolution, identities._convolve
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    def checked_fold(a, b):
+        entries_are_ints.append(all(type(v) is int for v in (*a, *b)))
+        return fold(a, b)
+
+    def counted_convolve(tables, n, mode):
+        before = len(built)
+        result = convolve(tables, n, mode)
+        assert len(built) - before == 2
+        assert all(type(v) is int for v in built[-1] + built[-2])
+        return result
+
+    monkeypatch.setattr(identities, "Fraction", Counted)
+    monkeypatch.setattr(identities, "_binomial_convolution", checked_fold)
+    monkeypatch.setattr(identities, "_convolve", counted_convolve)
+    for name in sorted(REFERENCES):
+        grid = _cleared_family_grid if name.endswith("family_check") else _cleared_grid
+        for args in grid(name):
+            assert VERIFIERS[name](*args).verdict == "pass"
+    assert len(entries_are_ints) > 50 and all(entries_are_ints)
