@@ -14,7 +14,8 @@ Exit codes: 0 when every requested verification passes, 1 when any verdict
 is fail or precondition_violated, 2 on usage or parse errors and on inputs
 that cannot be evaluated at all (a float overflow, a float right-hand side
 with an infinite or NaN factor, or an expression nested deeper than the
-interpreter's recursion limit).  Every flag value given is checked, also
+interpreter's recursion limit), and on any other exception, which is a bug
+reported as an ``internal error``.  Every flag value given is checked, also
 for flags the chosen identity does not use.  Each exit 2 writes one
 ``error:`` line to the ``stderr`` given to :func:`run`.  When standard output
 closes early (a pipe into ``head``), :func:`main` exits 141 (128 + SIGPIPE)
@@ -28,7 +29,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -54,7 +54,7 @@ from .identities import (
     zero_power_lemma_check,
 )
 from .numeric import ModeError, MultiIndex, Scalar
-from .parsing import ParseError, parse
+from .parsing import ParseError, parse, parse_number
 
 
 class UsageError(Exception):
@@ -89,26 +89,26 @@ class _Parser(argparse.ArgumentParser):
         raise _Help(self.format_help())
 
 
-_INT_RE = re.compile(r"[+-]?\d+$")
-_RATIONAL_RE = re.compile(r"([+-]?\d+)/(\d+)$")
-_DECIMAL_RE = re.compile(r"[+-]?\d+\.\d+$")
-
 # argparse types.  Each raises argparse.ArgumentTypeError, which argparse
 # reports as "argument --flag: <message>".
 
 
+def _literal(text: str) -> int | Fraction | float | None:
+    """:func:`parse_number` of a flag value; a literal out of range is an argparse error."""
+    try:
+        return parse_number(text)
+    except ParseError as err:
+        if err.expected == "a nonzero denominator":
+            raise argparse.ArgumentTypeError(f"zero denominator in {text.strip()!r}") from None
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _scalar(text: str) -> Scalar:
-    text = text.strip()
-    if _INT_RE.fullmatch(text):
-        return Scalar.exact(int(text))
-    m = _RATIONAL_RE.fullmatch(text)
-    if m:
-        if int(m.group(2)) == 0:
-            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
-        return Scalar(Fraction(int(m.group(1)), int(m.group(2))))
-    if _DECIMAL_RE.fullmatch(text):
-        return Scalar.inexact(float(text))
-    raise argparse.ArgumentTypeError(f"expected an integer, p/q, or decimal, got {text!r}")
+    value = _literal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, p/q, or decimal, got {text.strip()!r}")
+    return Scalar(value)
 
 
 def _tolerance(text: str) -> float:
@@ -127,9 +127,10 @@ def _scalar_list(text: str) -> list[Scalar]:
 
 
 def _int_list(text: str) -> list[int]:
-    if not all(_INT_RE.fullmatch(part.strip()) for part in text.split(",")):
+    values = [_literal(part) for part in text.split(",")]
+    if not all(isinstance(value, int) for value in values):
         raise argparse.ArgumentTypeError(f"expected an integer list, got {text!r}")
-    return [int(part) for part in text.split(",")]
+    return values
 
 
 def _expr(text: str) -> Expr:
@@ -442,10 +443,18 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
         stderr.write(f"error: {err}\n")
         return 2
     except OverflowError as err:
-        stderr.write(f"error: numeric overflow: {err}\n")
+        # float ** reports (errno, text); the text alone is the message
+        stderr.write(f"error: numeric overflow: {err.args[-1] if len(err.args) == 2 else err}\n")
         return 2
     except RecursionError:
         stderr.write("error: input nested too deeply to evaluate\n")
+        return 2
+    except BrokenPipeError:
+        raise  # a closed stdout, which main() reports by its exit code
+    except Exception as err:
+        # A boundary: any other failure is a bug, still reported as one line.
+        message = " ".join(f"{type(err).__name__}: {err}".split())
+        stderr.write(f"error: internal error: {message}\n")
         return 2
 
 

@@ -93,10 +93,7 @@ class Jet:
         if order < 0:
             raise ValueError(f"jet order must be non-negative, got {order}")
         m = x0.mode
-        tail = [zero(m)] * order
-        if order >= 1:
-            tail[0] = one(m)
-        return cls([x0] + tail)
+        return cls(([x0, one(m)] + [zero(m)] * order)[: order + 1])
 
     @classmethod
     def constant(cls, c: Scalar, order: int) -> Jet:
@@ -227,10 +224,7 @@ class Jet:
         except OverflowError:
             raise DomainError("exp overflow at the expansion point") from None
         for k in range(1, self.order + 1):
-            acc = zero("float")
-            for j in range(1, k + 1):
-                acc = acc + a[j] * b[k - j] * j
-            b.append(acc / k)
+            b.append(ordered_sum(a[j] * b[k - j] * j for j in range(1, k + 1)) / k)
         return Jet(b)
 
     def log(self) -> Jet:
@@ -258,13 +252,8 @@ class Jet:
         s = [Scalar.inexact(math.sin(float(a[0])))]
         c = [Scalar.inexact(math.cos(float(a[0])))]
         for k in range(1, self.order + 1):
-            s_acc = zero("float")
-            c_acc = zero("float")
-            for j in range(1, k + 1):
-                s_acc = s_acc + a[j] * c[k - j] * j
-                c_acc = c_acc + a[j] * s[k - j] * j
-            s.append(s_acc / k)
-            c.append(-(c_acc / k))
+            s.append(ordered_sum(a[j] * c[k - j] * j for j in range(1, k + 1)) / k)
+            c.append(-(ordered_sum(a[j] * s[k - j] * j for j in range(1, k + 1)) / k))
         return Jet(s), Jet(c)
 
     def sqrt(self) -> Jet:
@@ -303,15 +292,12 @@ class Jet:
         a = self.coeffs
         if not a[0] > 0:
             raise DomainError("non-integer real power requires a positive value at the expansion point")
-        c0 = float(a[0])
         al = float(alpha)
         # u has zero constant coefficient, so p below is the series of (1+u)**alpha.
         u = [zero("float")] + [ai / a[0] for ai in a[1:]]
         p = [one("float")]
         for n in range(1, self.order + 1):
-            acc = zero("float")
-            for k in range(1, n + 1):
-                acc = acc + u[k] * p[n - k] * Scalar.inexact((al + 1.0) * k - n)
-            p.append(acc / n)
-        lead = Scalar.inexact(math.pow(c0, al))
+            terms = (u[k] * p[n - k] * Scalar.inexact((al + 1.0) * k - n) for k in range(1, n + 1))
+            p.append(ordered_sum(terms) / n)
+        lead = Scalar.inexact(math.pow(float(a[0]), al))
         return Jet([lead * pk for pk in p])

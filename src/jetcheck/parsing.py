@@ -21,11 +21,18 @@ Notes on the lexical level:
   constant: integer exponents become integer powers (negative allowed),
   fractional ones become real powers.
 * The only variable is ``x``; any other identifier is a parse error.
-* Exponents are bounded by ``MAX_EXPONENT``, exact constant powers by ``MAX_CONSTANT_BITS`` bits.
+* An exponent times the exponents of the integer powers nested in its base
+  is bounded by ``MAX_EXPONENT`` in magnitude, exact constant powers by
+  ``MAX_CONSTANT_BITS`` bits.
+* An integer longer than the interpreter's int-to-str digit limit and a
+  decimal beyond the float range are parse errors.  :func:`parse_number`
+  reads one signed NUMBER with the same lexer, for command-line values.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,6 +76,59 @@ class _Token:
     value: Scalar | None = None
 
 
+def _digits_end(source: str, i: int) -> int:
+    n = len(source)
+    while i < n and source[i].isdecimal():
+        i += 1
+    return i
+
+
+def _integer(source: str, start: int, end: int) -> int:
+    try:
+        return int(source[start:end])
+    except ValueError:  # more digits than the interpreter converts to an int
+        raise ParseError(start, f"an integer of at most {sys.get_int_max_str_digits()} digits",
+                         f"one of {end - start} digits") from None
+
+
+def _number(source: str, start: int) -> tuple[int, int | Fraction | float]:
+    """The NUMBER starting at ``source[start]``, a decimal digit: its end and
+    its value, an int, a Fraction or a float by the literal's form."""
+    i = _digits_end(source, start)
+    if source[i:i + 1] == "." and source[i + 1:i + 2].isdecimal():
+        i = _digits_end(source, i + 1)
+        value = float(source[start:i])
+        if math.isinf(value):
+            raise ParseError(start, "a decimal within the float range",
+                             f"one of {i - start} characters")
+        return i, value
+    num = _integer(source, start, i)
+    if source[i:i + 1] == "/" and source[i + 1:i + 2].isdecimal():
+        end = _digits_end(source, i + 1)
+        den = _integer(source, i + 1, end)
+        if den == 0:
+            raise ParseError(i + 1, "a nonzero denominator", "0")
+        return end, Fraction(num, den)
+    return i, num
+
+
+def parse_number(text: str) -> int | Fraction | float | None:
+    """The value of ``text`` when it is one NUMBER with blanks around it and
+    an optional sign directly before it, as a command-line value is written:
+    an int, a Fraction or a float by the literal's form (``-0.0`` keeps its
+    sign), or None when ``text`` is anything else.  A literal out of range
+    raises :class:`ParseError`, as it does in an expression."""
+    body = text.strip()
+    sign = body[:1] if body[:1] in ("+", "-") else ""
+    start = len(text) - len(text.lstrip()) + len(sign)
+    if not text[start:start + 1].isdecimal():
+        return None
+    end, value = _number(text, start)
+    if text[end:].strip():
+        return None
+    return -value if sign == "-" else value
+
+
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
@@ -80,30 +140,8 @@ def _tokenize(source: str) -> list[_Token]:
             continue
         if ch.isdecimal():
             start = i
-            while i < n and source[i].isdecimal():
-                i += 1
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdecimal():
-                i += 1
-                while i < n and source[i].isdecimal():
-                    i += 1
-                text = source[start:i]
-                tokens.append(_Token("num", text, start, Scalar.inexact(float(text))))
-                continue
-            if i < n and source[i] == "/" and i + 1 < n and source[i + 1].isdecimal():
-                num = int(source[start:i])
-                den_start = i + 1
-                i += 1
-                while i < n and source[i].isdecimal():
-                    i += 1
-                den = int(source[den_start:i])
-                if den == 0:
-                    raise ParseError(den_start, "a nonzero denominator", "0")
-                tokens.append(
-                    _Token("num", source[start:i], start, Scalar(Fraction(num, den)))
-                )
-                continue
-            text = source[start:i]
-            tokens.append(_Token("num", text, start, Scalar.exact(int(text))))
+            i, value = _number(source, start)
+            tokens.append(_Token("num", source[start:i], start, Scalar(value)))
             continue
         if ch.isalpha() or ch == "_":
             start = i
@@ -124,6 +162,8 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        # id of each PowInt built -> the largest exponent product on a path down from it
+        self.nesting: dict[int, int] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -188,10 +228,27 @@ class _Parser:
         k, folded = int(value.value), None if contains_float(base) else constant_value(base)
         q = 1 if folded is None else folded.value
         bits = abs(k) * max(abs(q.numerator).bit_length(), q.denominator.bit_length())
-        if abs(k) > MAX_EXPONENT or bits > MAX_CONSTANT_BITS:
-            raise ParseError(exp_tok.offset, f"an exponent of magnitude at most {MAX_EXPONENT} and a "
-                             f"power of at most {MAX_CONSTANT_BITS} bits", "a larger one")
-        return PowInt(base, k)
+        nested = abs(k) * self._nesting(base)
+        if nested > MAX_EXPONENT or bits > MAX_CONSTANT_BITS:
+            raise ParseError(exp_tok.offset, "exponents whose product over nested powers is at most "
+                             f"{MAX_EXPONENT} in magnitude and a power of at most "
+                             f"{MAX_CONSTANT_BITS} bits", "a larger one")
+        node = PowInt(base, k)
+        self.nesting[id(node)] = max(1, nested)
+        return node
+
+    def _nesting(self, e: Expr) -> int:
+        """The largest product of integer-power exponent magnitudes on a path
+        down ``e``, at least 1."""
+        if isinstance(e, PowInt):
+            return self.nesting[id(e)]
+        if isinstance(e, (Add, Sub, Mul, Div)):
+            return max(self._nesting(e.left), self._nesting(e.right))
+        if isinstance(e, (Neg, Apply)):
+            return self._nesting(e.arg)
+        if isinstance(e, PowReal):
+            return self._nesting(e.base)
+        return 1
 
     def atom(self) -> Expr:
         tok = self.peek()

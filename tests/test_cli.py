@@ -1,10 +1,13 @@
 import gc
 import io
 import json
+import operator
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetcheck.cli import run
 
@@ -456,9 +459,130 @@ def test_json_reports_leave_no_garbage(argv):
     assert garbage == 0
 
 
-@pytest.mark.parametrize("expr", ["x^(2^2^2^2^2)", "2^2^2^2^2^2^2", "((2^999)^999)^999"])
+@pytest.mark.parametrize("expr", ["x^(2^2^2^2^2)", "2^2^2^2^2^2^2", "((2^999)^999)^999",
+                                  "((x+1)^1000)^1000", "(((x+1)^10000)^10000)^10000"])
 def test_exponent_towers_are_one_error_line(expr):
     code, out, err = invoke("lemma", "--f", f"{expr} - 1", "--n", "1", "--at", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: argument --f: parse error") and err.count("\n") == 1
     assert "at most 10000" in err
+
+
+def test_nested_powers_within_the_bound_still_verify():
+    code, doc = invoke_json("lemma", "--f", "(x^100)^100-1", "--n", "2", "--at", "1", "--json")
+    assert code == 0 and doc["lhs"] == "200000000/1"
+
+
+LONG_DECIMAL = "1" * 400 + ".0"
+LONG_INTEGER = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, flag, offset, found", [
+    (("lemma", "--f", "x-" + LONG_DECIMAL, "--n", "2", "--at", LONG_DECIMAL), "--f", 2,
+     "402 characters"),
+    (("verify", "baran", "--n", "2", "--f", "x", "--g", "x", "--at", LONG_DECIMAL), "--at", 0,
+     "402 characters"),
+    (("verify", "baran", "--n", "2", "--f", "x+" + LONG_INTEGER, "--g", "x", "--at", "1"), "--f", 2,
+     "5000 digits"),
+    (("verify", "baran", "--n", "2", "--f", "x", "--g", "x", "--at", " -" + LONG_INTEGER), "--at", 2,
+     "5000 digits"),
+])
+def test_literals_out_of_range_are_one_usage_error_line(argv, flag, offset, found):
+    code, out, err = invoke(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: argument {flag}: parse error at offset {offset}: ")
+    assert found in err and err.count("\n") == 1 and len(err) < 200
+
+
+def test_overflow_prints_the_text_of_an_errno_pair():
+    code, out, err = invoke("verify", "baran", "--n", "3", "--f", "exp(x)", "--g", "exp(x)",
+                            "--at", "700.0")
+    assert code == 2 and out == ""
+    assert err == "error: numeric overflow: Numerical result out of range\n"
+
+
+def test_any_other_exception_is_one_error_line(monkeypatch):
+    from jetcheck import cli
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("broken\nverifier")
+
+    monkeypatch.setattr(cli, "baran_verify", broken)
+    code, out, err = invoke("verify", "baran", "--n", "2", "--f", "x", "--g", "x^2", "--at", "3")
+    assert code == 2 and out == ""
+    assert err == "error: internal error: ZeroDivisionError: broken verifier\n"
+
+
+# Fuzzing over bounded argv.  Literals run to 500 digits (beyond the float
+# range) and to 4301 (beyond the int-to-str limit); n stays at most 6 and
+# powers nest two deep with small exponents, so no input asks for unbounded work.
+_digit_runs = st.builds(operator.mul, st.sampled_from("1234567890"),
+                        st.sampled_from([1] * 6 + [2] * 4 + [3] * 3 + [320, 500, 4301]))
+_unsigned = st.one_of(
+    st.integers(0, 99).map(str),
+    _digit_runs,
+    st.builds("{}/{}".format, st.integers(0, 9), st.integers(0, 99) | _digit_runs),
+    st.builds("{}.{}".format, st.integers(0, 99) | _digit_runs, st.integers(0, 99)),
+)
+_literals = st.builds(operator.add, st.sampled_from([""] * 5 + ["-", "-", "+", " ", "- "]), _unsigned)
+_atoms = st.just("x") | _unsigned
+_bases = _atoms | st.builds("({})^{}".format, _atoms, st.integers(-2, 3))
+_leaves = _bases | st.builds("({})^{}".format, _bases, st.integers(-2, 3))
+_exprs = st.recursive(_leaves, lambda sub: st.one_of(
+    st.builds("({}){}({})".format, sub, st.sampled_from("+-*/"), sub),
+    st.builds("-({})".format, sub),
+    st.builds("{}({})".format, st.sampled_from(["exp", "log", "sin", "cos", "sqrt"]), sub),
+), max_leaves=4)
+_small = st.integers(-1, 6).map(str)
+_FLAG_VALUES = {
+    "--n": _small, "--r": _small, "--p": _small,
+    "--s": st.lists(_small | _literals, min_size=1, max_size=3).map(",".join),
+    "--c": st.lists(_literals, min_size=1, max_size=3).map(",".join),
+    "--alpha": st.lists(_literals, min_size=1, max_size=3).map(",".join),
+    "--f": _exprs | st.lists(_exprs, min_size=2, max_size=3).map(",".join),
+    "--g": _exprs | st.lists(_exprs, min_size=2, max_size=3).map(",".join),
+    "--f1": _exprs, "--f2": _exprs, "--at": _literals, "--beta": _literals,
+    "--perturb-rhs": _literals, "--tol": st.sampled_from(["1e-9", "0.5", "0"]),
+    "--rhs-form": st.sampled_from(["corrected", "as_printed"]),
+    "--seed": st.integers(0, 99).map(str), "--trials": st.integers(0, 3).map(str),
+    "--max-n": _small, "--max-r": st.integers(1, 3).map(str),
+}
+_COMMON = ("--float", "--json", "--tol", "--perturb-rhs")
+_COMMANDS = {
+    ("verify", "baran"): ("--n", "--f", "--g", "--at") + _COMMON,
+    ("verify", "leibniz_product"): ("--n", "--f", "--g", "--at") + _COMMON,
+    ("verify", "theorem1"): ("--n", "--r", "--s", "--f", "--g", "--at") + _COMMON,
+    ("verify", "corollary2"): ("--n", "--r", "--s", "--c", "--f", "--g", "--at") + _COMMON,
+    ("verify", "symmetric_pair"): ("--n", "--p", "--f1", "--f2", "--g", "--at") + _COMMON,
+    ("binomid", "eq4"): ("--n", "--r", "--s", "--c", "--alpha", "--beta") + _COMMON,
+    ("binomid", "eq5"): ("--n", "--s", "--alpha", "--beta") + _COMMON,
+    ("binomid", "eq6"): ("--n", "--s", "--c", "--alpha", "--beta", "--rhs-form") + _COMMON,
+    ("binomid", "eq7"): ("--n", "--s", "--alpha", "--beta", "--rhs-form") + _COMMON,
+    ("lemma",): ("--f", "--n", "--at") + _COMMON,
+    ("sweep",): ("--seed", "--trials", "--max-n", "--max-r", "--negative", "--json"),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = list(command)
+    for flag in _COMMANDS[command]:
+        # keep about 19 in 20 required flags and half of the optional ones
+        if not draw(st.sampled_from([True] * 19 + [False]) if flag not in _COMMON else st.booleans()):
+            continue
+        argv.append(flag)
+        if flag in _FLAG_VALUES:
+            argv.append(draw(_FLAG_VALUES[flag]))
+    return argv
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(_argvs())
+def test_fuzzed_argv_ends_in_a_report_or_one_error_line(argv):
+    code, out, err = invoke(*argv)
+    assert code in (0, 1, 2)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
+    assert "Traceback" not in err and "internal error" not in err
+    assert "invalid _" not in err  # argparse naming a private type function
+    assert (code == 2) == (err != "")

@@ -19,7 +19,7 @@ from jetcheck.exprs import (
     to_text,
 )
 from jetcheck.numeric import Scalar
-from jetcheck.parsing import ParseError, parse
+from jetcheck.parsing import ParseError, parse, parse_number
 
 
 def C(p, q=1):
@@ -162,3 +162,58 @@ canonical_exprs = st.recursive(_leaves(), _extend, max_leaves=12)
 @given(canonical_exprs)
 def test_roundtrip_parse_print(e):
     assert parse(to_text(e)) == e
+
+
+@pytest.mark.parametrize("text, value", [
+    ("7", 7), (" +7 ", 7), ("-0", 0), ("\t-3/4\n", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)),
+    ("2.50", 2.5), ("-1.5", -1.5), ("٣", 3),
+])
+def test_parse_number_reads_one_signed_literal(text, value):
+    got = parse_number(text)
+    assert got == value and type(got) is type(value)
+
+
+def test_parse_number_keeps_the_sign_of_negative_zero():
+    assert str(parse_number(" -0.0 ")) == "-0.0"
+
+
+@pytest.mark.parametrize("text", [
+    "", "-", "- 7", "--7", "+-7", "7 7", "3 /4", "3/ 4", "3/-4", "1/2/3", "1/2.5", "1.", ".5",
+    "1e5", "1_000", "x", "²", "7,8", "(7)",
+])
+def test_parse_number_is_none_for_anything_else(text):
+    assert parse_number(text) is None
+
+
+LONG_DECIMAL = "1" * 400 + ".0"
+LONG_INTEGER = "1" * 5000
+
+
+@pytest.mark.parametrize("literal, offset, found", [
+    (LONG_DECIMAL, 0, "402 characters"),
+    (LONG_INTEGER, 0, "5000 digits"),
+    ("1/" + LONG_INTEGER, 2, "5000 digits"),
+])
+def test_literals_out_of_range_are_parse_errors(literal, offset, found):
+    with pytest.raises(ParseError) as err:
+        parse("x-" + literal)
+    assert err.value.offset == 2 + offset and found in err.value.found
+    with pytest.raises(ParseError) as err:
+        parse_number(" " + literal)
+    assert err.value.offset == 1 + offset and found in err.value.found
+
+
+@pytest.mark.parametrize("text", [
+    "((x+1)^1000)^1000", "(((x+1)^100)^100)^100", "(((x+1)^10000)^10000)^10000",
+    "(x^-101)^100", "exp((x^200)^2)^30", "((x^100)^1+x)^101",
+])
+def test_nested_integer_powers_are_bounded_by_their_product(text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert "at most 10000" in err.value.expected
+
+
+@pytest.mark.parametrize("text", ["(x^100)^100", "(x^-100)^-100", "((x^10)^10)^100",
+                                  "((x+1)^10000)^0", "(x^5000)^2.5", "x^10000*x^10000"])
+def test_nested_integer_powers_within_the_bound_parse(text):
+    parse(text)
