@@ -344,7 +344,7 @@ def _handle_verify(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> 
         _require(args, "verify theorem1", "--n", "--s", "--f", "--g", "--at")
         inst = TheoremInstance(
             n=args.n, r=args.r if args.r is not None else len(args.f),
-            f=tuple(args.f), g=tuple(args.g), s=MultiIndex(tuple(args.s)), x0=args.at,
+            f=args.f, g=args.g, s=args.s, x0=args.at,
         )
         report = theorem1_verify(inst, **common)
     elif identity == "corollary2":

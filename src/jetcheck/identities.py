@@ -38,21 +38,18 @@ The identity family, in the naming used throughout (also the CLI tokens):
 The first six left-hand sides are multinomial sums over |k| = n of
 multinomial(n,k) * prod_i T_i[k_i], one table T_i[0..n] per factor.  Each
 verifier builds its tables; one kernel, :func:`_convolve`, folds them by
-binomial convolution in O(r n^2) steps, where enumerating the C(n+r-1, r-1)
-compositions took a jet product per factor each.  In exact mode each table
-is cleared to Python integers over one denominator (:func:`_cleared`), so the
+binomial convolution in O(r n^2) steps instead of one jet product per factor
+for each of the C(n+r-1, r-1) compositions.  In exact mode each table is
+cleared to Python integers over one denominator (:func:`_cleared`), so the
 fold is integer arithmetic and the kernel divides once for the lhs and once
-for the scale; float tables are the same floats over 1.  On a 2-vCPU virtual
-machine (Python 3.11) theorem1 at n = 12, r = 6 takes 0.01 s (24 s with one
-product per composition); n = 40, r = 10 takes 0.04 s and n = 80, r = 10
-0.14 s (0.23 s and 1.0 s over Fractions).
+for the scale; float tables are the same floats over 1.
 
 Between its edges the module works on plain values: ``Fraction`` in exact
-mode, ``float`` in float mode.  Scalar inputs become plain values as soon as
-:func:`_mode_for` has chosen the mode, jets are read through
-:meth:`Jet.plain`, and only :func:`_finish` and :func:`_precondition_violated`
-build the report's Scalars.  Series products and powers, and every sum over
-coefficient values, come from the series core in :mod:`jetcheck.jets`.
+mode, ``float`` in float mode.  :func:`_check_sizes` makes list inputs
+tuples; once :func:`_mode_for` has chosen the mode, Scalar inputs become
+plain values and jets are read through :meth:`Jet.plain`; only :func:`_report`
+builds a report.  Series products and powers, and every sum over coefficient
+values, come from the series core in :mod:`jetcheck.jets`.
 Every weighted right-hand side (n!, multinomial(n, s), or 1 for baran) is
 formed exactly by :func:`_product` and, in float mode, rounded once, so n!
 never has to fit in a float on its own.
@@ -68,6 +65,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .exprs import (
@@ -151,16 +149,20 @@ class TheoremInstance:
     x0: Scalar
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "f", tuple(self.f))
-        object.__setattr__(self, "g", tuple(self.g))
-        if not isinstance(self.s, MultiIndex):
-            object.__setattr__(self, "s", MultiIndex(tuple(self.s)))
-        _check_sizes(self.n, self.r, f=self.f, g=self.g, s=self.s)
+        _, f, g, s = _check_sizes(self.n, self.r, f=self.f, g=self.g, s=self.s)
+        for name, value in (("f", f), ("g", g), ("s", s)):
+            object.__setattr__(self, name, value)
 
 
-def _check_sizes(n: int, r: int = 1, **lists: Sequence) -> None:
+def _check_sizes(n: int, r: int | None = None, **lists: Sequence) -> tuple:
     """Reject the sizes an identity asserts nothing about: n < 0, r < 1, a
-    list (f, g, c, alpha or s) whose length is not r, and |s| > n."""
+    list (f, g, c, alpha or s) whose length is not r, and |s| > n.
+
+    Returns r, by default the length of the first list, then every list as a
+    tuple, s as a :class:`MultiIndex`."""
+    lists = {key: MultiIndex(v) if key == "s" else tuple(v) for key, v in lists.items()}
+    if r is None:
+        r = len(next(iter(lists.values()))) if lists else 1
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if r < 1:
@@ -173,6 +175,7 @@ def _check_sizes(n: int, r: int = 1, **lists: Sequence) -> None:
     weight = sum(lists.get("s", ()))
     if weight > n:
         raise ValueError(f"|s| = {weight} exceeds n = {n}; the identity asserts nothing there")
+    return (r, *lists.values())
 
 
 def _mode_for(x0: Scalar, exprs: Sequence[Expr], scalars: Sequence[Scalar] = ()) -> tuple[Scalar, str]:
@@ -247,35 +250,24 @@ def _finish(
                 f"limit {_text(limit)}, so lhs = 0 would also pass",
             )
     residual = lhs - rhs
-    return VerificationReport(
-        identity=identity,
-        params=params,
-        mode=mode,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        cancellation_scale=scale,
-        tolerance=tol if mode == "float" else None,
-        verdict=_verdict_for(residual.value, scale.value, mode, tol),
-        notes=notes,
-    )
+    verdict = _verdict_for(residual.value, scale.value, mode, tol)
+    return _report(identity, params, mode, tol, verdict, notes, (lhs, rhs, residual, scale))
 
 
 def _precondition_violated(
     identity: str, params: dict[str, str], mode: str, tol: float, note: str
 ) -> VerificationReport:
-    return VerificationReport(
-        identity=identity,
-        params=params,
-        mode=mode,
-        lhs=None,
-        rhs=None,
-        residual=None,
-        cancellation_scale=None,
-        tolerance=tol if mode == "float" else None,
-        verdict="precondition_violated",
-        notes=(note,),
-    )
+    return _report(identity, params, mode, tol, "precondition_violated", (note,))
+
+
+def _report(
+    identity: str, params: dict[str, str], mode: str, tol: float, verdict: str,
+    notes: tuple[str, ...], sides: tuple = (None, None, None, None),
+) -> VerificationReport:
+    """The one place a report is built; ``sides`` holds lhs, rhs, residual
+    and the cancellation scale, none of them for a precondition violation."""
+    tolerance = tol if mode == "float" else None
+    return VerificationReport(identity, params, mode, *sides, tolerance, verdict, notes)
 
 
 def _hypothesis_note(what: str, values: Sequence, mode: str) -> str | None:
@@ -289,12 +281,19 @@ def _hypothesis_note(what: str, values: Sequence, mode: str) -> str | None:
     return f"hypothesis failed: {what} is {_text(total)}, not 0"
 
 
-def _exprs_text(exprs: Sequence[Expr]) -> str:
-    return ",".join(to_text(e) for e in exprs)
+def _params(**fields) -> dict[str, str]:
+    """Report parameters in the order given, each written from its type."""
+    return {key: _param_text(value) for key, value in fields.items()}
 
 
-def _scalars_text(scalars: Sequence[Scalar]) -> str:
-    return ",".join(s.as_text() for s in scalars)
+def _param_text(value) -> str:
+    """An int or str as is, a Scalar or MultiIndex by ``as_text``, an
+    expression by ``to_text``, a tuple as its items joined by commas."""
+    if isinstance(value, tuple):
+        return ",".join(map(_param_text, value))
+    if isinstance(value, (int, str)):
+        return str(value)
+    return value.as_text() if isinstance(value, (Scalar, MultiIndex)) else to_text(value)
 
 
 def _cleared(values: Sequence, mode: str) -> tuple[list, int]:
@@ -383,14 +382,7 @@ def theorem1_verify(
     a fortiori.
     """
     n, r, s = inst.n, inst.r, inst.s
-    params = {
-        "n": str(n),
-        "r": str(r),
-        "s": s.as_text(),
-        "f": _exprs_text(inst.f),
-        "g": _exprs_text(inst.g),
-        "x0": inst.x0.as_text(),
-    }
+    params = _params(n=n, r=r, s=s, f=inst.f, g=inst.g, x0=inst.x0)
     x0, mode = _mode_for(inst.x0, inst.f + inst.g)
     f = [eval_jet(e, x0, si).plain() for e, si in zip(inst.f, s)]
     g = [eval_jet(e, x0, si).plain() for e, si in zip(inst.g, s)]
@@ -448,22 +440,8 @@ def corollary2_verify(
     rhs_shift: Scalar | None = None,
 ) -> VerificationReport:
     """Check the constant-multiples form: g_i = c_i * g with sum(c) = 0."""
-    f = tuple(f)
-    c = tuple(c)
-    if not isinstance(s, MultiIndex):
-        s = MultiIndex(tuple(s))
-    if r is None:
-        r = len(f)
-    _check_sizes(n, r, f=f, c=c, s=s)
-    params = {
-        "n": str(n),
-        "r": str(r),
-        "s": s.as_text(),
-        "c": _scalars_text(c),
-        "f": _exprs_text(f),
-        "g": to_text(g),
-        "x0": x0.as_text(),
-    }
+    r, f, c, s = _check_sizes(n, r, f=f, c=c, s=s)
+    params = _params(n=n, r=r, s=s, c=c, f=f, g=g, x0=x0)
     return _corollary2_core("corollary2", params, n, f, g, c, s, x0, tol, rhs_shift)
 
 
@@ -483,14 +461,7 @@ def symmetric_pair_verify(
     _check_sizes(n)
     if not 0 <= p <= n:
         raise ValueError(f"p must lie in 0..{n}, got {p}")
-    params = {
-        "n": str(n),
-        "p": str(p),
-        "f1": to_text(f1),
-        "f2": to_text(f2),
-        "g": to_text(g),
-        "x0": x0.as_text(),
-    }
+    params = _params(n=n, p=p, f1=f1, f2=f2, g=g, x0=x0)
     s = MultiIndex((p, n - p))
     c = (Scalar.exact(-1), Scalar.exact(1))
     return _corollary2_core("symmetric_pair", params, n, (f1, f2), g, c, s, x0, tol, rhs_shift)
@@ -513,7 +484,7 @@ def baran_verify(
     hypothesis beyond the expressions being defined at x0.
     """
     _check_sizes(n)
-    params = {"n": str(n), "f": to_text(f), "g": to_text(g), "x0": x0.as_text()}
+    params = _params(n=n, f=f, g=g, x0=x0)
     x0, mode = _mode_for(x0, (f, g))
     f, g = eval_jet(f, x0, n).plain(), eval_jet(g, x0, n).plain()
     # The 1/n! cancels the n! of the n-th derivative, leaving [t^n](f g^j).
@@ -543,7 +514,7 @@ def leibniz_product_verify(
     evaluated at x0.  No hypothesis beyond the expression domains.
     """
     _check_sizes(n)
-    params = {"n": str(n), "f": to_text(f), "g": to_text(g), "x0": x0.as_text()}
+    params = _params(n=n, f=f, g=g, x0=x0)
     x0, mode = _mode_for(x0, (f, g))
     f, g = eval_jet(f, x0, n).plain(), eval_jet(g, x0, n).plain()
     # The outer factor x0 = p/q goes into the first table; each term is over q^(n+1) d_f d_g.
@@ -578,29 +549,15 @@ def _family_check(
     entry: Callable,
     entry_den: Callable,
     rhs: Callable,
-    extra_params: dict[str, str] | None = None,
+    **extra_params: str,
 ) -> VerificationReport:
     """The check shared by the binomial families: the lhs sums, over |k| = n,
     multinomial(n,k) prod_i c_i^(k_i) E(alpha_i + k_i beta, s_i), where
-    E(Z / q, s) = entry(Z, s, q) / entry_den(s, q), and ``rhs(factors, mode)``
+    E(Z / q, s) = entry(Z, s, q) / entry_den(s, q); ``rhs(factors, mode)``
     returns the right-hand side and its notes, given the factors beta^n and
-    c_i^(s_i) for :func:`_product`."""
-    alpha = tuple(alpha)
-    c = tuple(c)
-    if not isinstance(s, MultiIndex):
-        s = MultiIndex(tuple(s))
-    if r is None:
-        r = len(alpha)
-    _check_sizes(n, r, alpha=alpha, c=c, s=s)
-    params = {
-        "n": str(n),
-        "r": str(r),
-        "s": s.as_text(),
-        "alpha": _scalars_text(alpha),
-        "beta": beta.as_text(),
-        "c": _scalars_text(c),
-        **(extra_params or {}),
-    }
+    c_i^(s_i) for :func:`_product`; ``extra_params`` end the report's params."""
+    r, alpha, c, s = _check_sizes(n, r, alpha=alpha, c=c, s=s)
+    params = _params(n=n, r=r, s=s, alpha=alpha, beta=beta, c=c, **extra_params)
     beta, mode = _mode_for(beta, (), alpha + c)
     alpha, beta, c = _plain(alpha, mode), beta.value, _plain(c, mode)
     note = _hypothesis_note("sum of c", c, mode)
@@ -688,7 +645,7 @@ def exp_family_check(
 
     return _family_check(
         "exp_family", n, alpha, beta, c, s, r, tol, rhs_shift,
-        lambda z, si, q: z ** si, lambda si, q: q ** si, rhs, {"rhs_form": rhs_form},
+        lambda z, si, q: z ** si, lambda si, q: q ** si, rhs, rhs_form=rhs_form,
     )
 
 
@@ -707,7 +664,7 @@ def zero_power_lemma_check(
     are folded into the verdict (any nonzero one fails, with a note).
     """
     _check_sizes(n)
-    params = {"f": to_text(f), "n": str(n), "x0": x0.as_text()}
+    params = _params(f=f, n=n, x0=x0)
     x0, mode = _mode_for(x0, (f,))
     f = eval_jet(f, x0, n).plain()
     note = _hypothesis_note("f(x0)", f[:1], mode)
@@ -854,17 +811,13 @@ def _random_trial(identity: str, rng: random.Random, config: SweepConfig) -> Ver
 
     if identity == "theorem1":
         r = rng.randint(2, config.max_r)
-        f = tuple(poly() for _ in range(r))
+        f = [poly() for _ in range(r)]
         g_head = [poly() for _ in range(r - 1)]
-        g_last: Expr = const(0)
-        for e in g_head:
-            g_last = add(g_last, e)
-        g_last = neg(g_last)
+        g_last = neg(reduce(add, g_head, const(0)))
         if broken:
             g_last = add(g_last, const(1))
         s = _rand_split(rng, rng.randint(0, n), r)
-        inst = TheoremInstance(n=n, r=r, f=f, g=tuple(g_head + [g_last]), s=s, x0=point())
-        return theorem1_verify(inst)
+        return theorem1_verify(TheoremInstance(n, r, f, g_head + [g_last], s, point()))
     if identity == "corollary2":
         r = rng.randint(2, config.max_r)
         f = tuple(poly() for _ in range(r))
@@ -878,20 +831,14 @@ def _random_trial(identity: str, rng: random.Random, config: SweepConfig) -> Ver
         return baran_verify(n, poly(), poly(), point())
     if identity == "leibniz_product":
         return leibniz_product_verify(n, poly(), poly(), point())
-    if identity == "power_family":
+    if identity in ("power_family", "exp_family"):
         r = rng.randint(2, config.max_r)
         alpha = tuple(_rand_scalar(rng, config.coeff_bound) for _ in range(r))
         beta = _rand_scalar(rng, config.coeff_bound)
         c = _balanced_scalars(rng, r, config.coeff_bound, broken)
         s = _rand_split(rng, n, r)
-        return power_family_check(n, alpha, beta, c, s)
-    if identity == "exp_family":
-        r = rng.randint(2, config.max_r)
-        alpha = tuple(_rand_scalar(rng, config.coeff_bound) for _ in range(r))
-        beta = _rand_scalar(rng, config.coeff_bound)
-        c = _balanced_scalars(rng, r, config.coeff_bound, broken)
-        s = _rand_split(rng, n, r)
-        return exp_family_check(n, alpha, beta, c, s)
+        check = power_family_check if identity == "power_family" else exp_family_check
+        return check(n, alpha, beta, c, s)
     if identity == "zero_power_lemma":
         x0 = point()
         h = poly()

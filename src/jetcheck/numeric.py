@@ -177,13 +177,25 @@ class Scalar:
 
     def as_text(self) -> str:
         """Human-friendly rendering: "p" or "p/q" when exact, repr when float."""
-        return str(self.value) if self.is_exact else repr(self.value)
+        if self.is_exact and self.value.denominator == 1:
+            return _digits(self.value.numerator)
+        return self.as_ratio_text()
 
     def as_ratio_text(self) -> str:
         """Machine rendering: always "p/q" when exact, shortest repr when float."""
         if self.is_exact:
-            return f"{self.value.numerator}/{self.value.denominator}"
+            return f"{_digits(self.value.numerator)}/{_digits(self.value.denominator)}"
         return repr(self.value)
+
+
+def _digits(n: int) -> str:
+    """str(n), also for an integer beyond the interpreter's int-to-str digit
+    limit, which Decimal does not apply; the limit itself stays untouched."""
+    try:
+        return str(n)
+    except ValueError:
+        import decimal  # only here: importing it costs every run about a millisecond
+        return str(decimal.Decimal(n))
 
 
 ZERO = Scalar.exact(0)

@@ -216,6 +216,23 @@ def test_large_float_baran_ends_in_a_report():
     assert "verdict: " in out
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_exact_report_beyond_the_int_to_str_digit_limit(as_json):
+    # lhs, rhs and scale have about 4500 digits: the report is written in
+    # full, without raising the interpreter's int-to-str limit
+    argv = ["verify", "baran", "--n", "2", "--f", "x^9", "--g", "x", "--at", "7" * 500]
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(*argv, *(["--json"] if as_json else []))
+    assert code == 0 and err == ""
+    if as_json:
+        report = json.loads(out)
+        assert report["residual"] == "0/1"
+        assert report["lhs"] == report["rhs"] and len(report["lhs"]) == 4500 + 2
+    else:
+        assert "residual: 0\n" in out and "verdict: pass" in out
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_float_digits_do_not_depend_on_the_python_version():
     # Summing left to right pins the rounding; a compensated sum (the built-in
     # sum from Python 3.12 on) gives -1.7456684319946346e+180 here.

@@ -435,6 +435,22 @@ def test_negative_sensitivity(shift):
     assert rep.verdict == "fail"
 
 
+def test_list_inputs_equal_tuple_inputs():
+    f, g = [parse("x"), parse("1")], [parse("x^2"), parse("-x^2")]
+    from_lists = TheoremInstance(n=2, r=2, f=f, g=g, s=[1, 1], x0=ex(2))
+    from_tuples = TheoremInstance(n=2, r=2, f=tuple(f), g=tuple(g), s=MultiIndex((1, 1)), x0=ex(2))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert theorem1_verify(from_lists) == theorem1_verify(from_tuples)
+
+    c, s, alpha = [ex(1), ex(-1)], [1, 1], [ex(1, 2), ex(3)]
+    assert corollary2_verify(2, f, parse("x^2"), c, s, ex(2)) == corollary2_verify(
+        2, tuple(f), parse("x^2"), tuple(c), MultiIndex(tuple(s)), ex(2))
+    for check in (power_family_check, exp_family_check):
+        assert check(2, alpha, ex(2), c, s) == check(
+            2, tuple(alpha), ex(2), tuple(c), MultiIndex(tuple(s)))
+
+
 class TestSweep:
     def test_deterministic(self):
         config = SweepConfig(seed=7, trials=24)

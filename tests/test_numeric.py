@@ -61,6 +61,12 @@ class TestScalar:
         assert Scalar.exact(3).as_ratio_text() == "3/1"
         assert Scalar.inexact(0.1).as_ratio_text() == "0.1"
 
+    def test_text_forms_beyond_the_int_to_str_digit_limit(self):
+        big = 10 ** 5000
+        assert Scalar.exact(-big).as_text() == "-1" + "0" * 5000
+        assert Scalar.exact(3, big).as_text() == "3/1" + "0" * 5000
+        assert Scalar.exact(big, 7).as_ratio_text() == "1" + "0" * 5000 + "/7"
+
     @given(st.fractions(), st.fractions(), st.fractions())
     def test_field_axioms_exact(self, a, b, c):
         sa, sb, sc = Scalar(a), Scalar(b), Scalar(c)

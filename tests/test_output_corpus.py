@@ -1,0 +1,122 @@
+"""Byte-for-byte output of a fixed corpus of CLI invocations.
+
+Each invocation runs through ``cli.run``; the SHA-256 of its exit code,
+standard output and standard error is compared with the committed table in
+``output_corpus.json``.  The corpus covers every README example, every
+verify/binomid/lemma kind in text and JSON, exact and ``--float``, a large
+float instance, the README soak sweep and a ``--negative`` sweep, so a
+refactor that changes a single output byte fails here.
+
+The module needs no pytest: ``python tests/test_output_corpus.py`` prints the
+table for the running interpreter, which compares Python versions with a
+``diff`` and records the table after an intended change of output.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import pathlib
+import shlex
+import sys
+
+from jetcheck.cli import run
+
+TABLE = pathlib.Path(__file__).with_name("output_corpus.json")
+
+README_EXAMPLES = [
+    ["verify", "baran", "--n", "2", "--f", "x", "--g", "x^2", "--at", "3"],
+    ["verify", "theorem1", "--n", "2", "--s", "0,2", "--f", "1,x", "--g", "-x^2,x^2",
+     "--at", "3", "--json"],
+    ["verify", "corollary2", "--n", "2", "--s", "1,1,0", "--c", "1,1,-2", "--f", "x,1,1",
+     "--g", "x^2", "--at", "1"],
+    ["verify", "symmetric_pair", "--n", "2", "--p", "0", "--f1", "1", "--f2", "x",
+     "--g", "x^2", "--at", "3"],
+    ["binomid", "eq5", "--n", "1", "--s", "1", "--alpha", "0,0", "--beta", "2"],
+    ["binomid", "eq6", "--n", "2", "--s", "2,0", "--c", "-1,1", "--alpha", "0,0",
+     "--beta", "1", "--rhs-form", "as_printed"],
+    ["lemma", "--f", "x^2-1", "--n", "2", "--at", "1"],
+    ["sweep", "--seed", "42", "--trials", "100", "--json"],
+]
+
+# One instance of every verify/binomid/lemma kind; each also runs with
+# --json, --float and both.
+KINDS = [
+    ["verify", "baran", "--n", "4", "--f", "x^3-1/2", "--g", "x^2-x/3", "--at", "2/3"],
+    ["verify", "theorem1", "--n", "3", "--s", "1,2", "--f", "x^2+1,1/(1+x)",
+     "--g", "x^3-2,2-x^3", "--at", "1/2"],
+    ["verify", "corollary2", "--n", "3", "--s", "1,1,1", "--c", "2,-1/2,-3/2",
+     "--f", "x,x^2,1-x", "--g", "x^3+x", "--at", "-1/3"],
+    ["verify", "symmetric_pair", "--n", "3", "--p", "1", "--f1", "x^2", "--f2", "1+x",
+     "--g", "x^2-x", "--at", "2/5"],
+    ["verify", "leibniz_product", "--n", "3", "--f", "x^2+1", "--g", "1/(2-x)", "--at", "1/3"],
+    ["binomid", "eq4", "--n", "3", "--s", "1,1,1", "--c", "1,1,-2", "--alpha", "1/2,2,3",
+     "--beta", "3/2"],
+    ["binomid", "eq5", "--n", "3", "--s", "1", "--alpha", "1/2,1", "--beta", "2"],
+    ["binomid", "eq6", "--n", "3", "--s", "1,2", "--c", "-1,1", "--alpha", "1,2",
+     "--beta", "1/2"],
+    ["binomid", "eq7", "--n", "3", "--s", "2", "--alpha", "1,-1", "--beta", "2",
+     "--rhs-form", "as_printed"],
+    ["lemma", "--f", "x^3-8", "--n", "3", "--at", "2"],
+]
+
+OTHERS = [
+    # float digits of the elementary recurrences and of a large cancellation
+    ["verify", "baran", "--n", "5", "--f", "sin(x)", "--g", "exp(x)-1", "--at", "0.3"],
+    ["verify", "leibniz_product", "--n", "4", "--f", "log(1+x)", "--g", "sqrt(x)",
+     "--at", "0.7", "--json"],
+    ["verify", "theorem1", "--n", "3", "--s", "1,1", "--f", "cos(x),exp(x)",
+     "--g", "sin(x),-sin(x)", "--at", "1/3", "--float", "--tol", "1e-12"],
+    ["verify", "baran", "--n", "200", "--f", "x", "--g", "exp(x)", "--at", "1", "--float"],
+    # verdicts other than pass
+    ["verify", "theorem1", "--n", "2", "--s", "1,1", "--f", "1,x", "--g", "x,x", "--at", "2"],
+    ["binomid", "eq4", "--n", "2", "--s", "1,0", "--c", "1,-1", "--alpha", "1,2",
+     "--beta", "1", "--json"],
+    ["lemma", "--f", "x^2", "--n", "2", "--at", "1", "--json"],
+    ["verify", "corollary2", "--n", "2", "--s", "1,1", "--c", "1,-1", "--f", "x,1",
+     "--g", "x^2", "--at", "1", "--perturb-rhs", "1/7"],
+    # usage and domain errors, among them each list-size message
+    ["verify", "baran", "--n", "2", "--f", "x,x", "--g", "x", "--at", "1"],
+    ["verify", "theorem1", "--n", "2", "--s", "1,1", "--f", "1,x", "--g", "x", "--at", "2"],
+    ["verify", "corollary2", "--n", "2", "--s", "1,1", "--c", "1,-1,0", "--f", "x,1",
+     "--g", "x^2", "--at", "1"],
+    ["verify", "corollary2", "--n", "1", "--s", "1,1", "--c", "1,-1", "--f", "x,1",
+     "--g", "x^2", "--at", "1"],
+    ["binomid", "eq4", "--n", "2", "--r", "3", "--s", "1,1", "--c", "1,-1", "--alpha", "1,2",
+     "--beta", "1"],
+    ["verify", "leibniz_product", "--n", "2", "--f", "1/(x-1)", "--g", "x", "--at", "1"],
+    # sweeps: the README soak in text and JSON, and a negative sweep
+    ["sweep", "--seed", "3", "--trials", "400", "--max-n", "5", "--coeff-bound", "5",
+     "--degree-bound", "4"],
+    ["sweep", "--seed", "3", "--trials", "400", "--max-n", "5", "--coeff-bound", "5",
+     "--degree-bound", "4", "--json"],
+    ["sweep", "--seed", "5", "--trials", "100", "--negative"],
+]
+
+CORPUS = README_EXAMPLES + [
+    kind + extra for kind in KINDS for extra in ([], ["--json"], ["--float"], ["--float", "--json"])
+] + OTHERS
+
+
+def digest(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv, stdout=out, stderr=err)
+    return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+
+
+def digests() -> dict[str, str]:
+    return {shlex.join(argv): digest(argv) for argv in CORPUS}
+
+
+def test_corpus_output_is_unchanged():
+    expected = json.loads(TABLE.read_text())
+    actual = digests()
+    assert sorted(actual) == sorted(expected), "the corpus and the table list different invocations"
+    changed = [argv for argv, sha in actual.items() if expected[argv] != sha]
+    assert not changed, "output changed for:\n" + "\n".join(changed)
+
+
+if __name__ == "__main__":
+    json.dump(digests(), sys.stdout, indent=1)
+    sys.stdout.write("\n")
