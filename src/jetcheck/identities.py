@@ -42,14 +42,15 @@ binomial convolution in O(r n^2) steps instead of one jet product per factor
 for each of the C(n+r-1, r-1) compositions.  In exact mode each table is
 cleared to Python integers over one denominator (:func:`_cleared`), so the
 fold is integer arithmetic and the kernel divides once for the lhs and once
-for the scale; float tables are the same floats over 1.
+for the scale; float tables are the same floats over 1.  Jets hold that
+form (:meth:`Jet.cleared`), so :func:`_cleared` clears only scalar inputs.
 
 Between its edges the module works on plain values: ``Fraction`` in exact
 mode, ``float`` in float mode.  :func:`_check_sizes` makes list inputs
 tuples; once :func:`_mode_for` has chosen the mode, Scalar inputs become
-plain values and jets are read through :meth:`Jet.plain`; only :func:`_report`
-builds a report.  Series products and powers, and every sum over coefficient
-values, come from the series core in :mod:`jetcheck.jets`.
+plain values, as does a jet coefficient read as one value (:func:`_at`);
+only :func:`_report` builds a report.  Series products and powers, and every
+sum over coefficient values, come from the series core in :mod:`jetcheck.jets`.
 Every weighted right-hand side (n!, multinomial(n, s), or 1 for baran) is
 formed exactly by :func:`_product` and, in float mode, rounded once, so n!
 never has to fit in a float on its own.
@@ -82,7 +83,7 @@ from .exprs import (
     to_text,
     X,
 )
-from .jets import Jet, coefficient, ordered_sum, series_mul, series_pow
+from .jets import Jet, clear_denominators, coefficient, ordered_sum, series_mul, series_pow
 from .numeric import (
     MultiIndex,
     Scalar,
@@ -193,10 +194,13 @@ def _plain(scalars: Sequence[Scalar], mode: str) -> list:
     return [float(v) if mode == "float" else v.value for v in scalars]
 
 
-def _slope(coeffs: Sequence):
-    """The first derivative from Taylor coefficients; 0 for an order-0 jet,
-    whose slope is only ever raised to the power 0."""
-    return coeffs[1] if len(coeffs) > 1 else 0
+def _at(jet: tuple[Sequence, int], k: int, mode: str):
+    """Taylor coefficient k of a jet read by :meth:`Jet.cleared`, as a plain
+    value; 0 beyond its order, where a slope is only raised to the power 0."""
+    values, d = jet
+    if k >= len(values):
+        return 0
+    return Fraction(values[k], d) if mode == "exact" else values[k]
 
 
 def _text(value) -> str:
@@ -207,10 +211,12 @@ def _text(value) -> str:
 def _product(weight: int | Fraction, factors: Iterable[tuple], mode: str):
     """weight * prod(base ** exponent for base, exponent in factors), formed
     exactly and, in float mode, rounded once: no partial product, such as n!
-    alone, has to fit in a float.  A non-finite float factor raises
-    (OverflowError for inf, ValueError for nan)."""
+    alone, has to fit in a float.  A non-finite float factor (inf or nan)
+    raises OverflowError."""
     total = Fraction(weight)
     for base, exponent in factors:
+        if isinstance(base, float) and not math.isfinite(base):
+            raise OverflowError(f"a factor is {base!r}, not a finite number")
         total *= Fraction(base) ** exponent
     return total if mode == "exact" else float(total)
 
@@ -254,18 +260,12 @@ def _finish(
     return _report(identity, params, mode, tol, verdict, notes, (lhs, rhs, residual, scale))
 
 
-def _precondition_violated(
-    identity: str, params: dict[str, str], mode: str, tol: float, note: str
-) -> VerificationReport:
-    return _report(identity, params, mode, tol, "precondition_violated", (note,))
-
-
 def _report(
     identity: str, params: dict[str, str], mode: str, tol: float, verdict: str,
     notes: tuple[str, ...], sides: tuple = (None, None, None, None),
 ) -> VerificationReport:
-    """The one place a report is built; ``sides`` holds lhs, rhs, residual
-    and the cancellation scale, none of them for a precondition violation."""
+    """The one place a report is built, also for a precondition violation,
+    which has no ``sides`` (lhs, rhs, residual and the cancellation scale)."""
     tolerance = tol if mode == "float" else None
     return VerificationReport(identity, params, mode, *sides, tolerance, verdict, notes)
 
@@ -298,13 +298,7 @@ def _param_text(value) -> str:
 
 def _cleared(values: Sequence, mode: str) -> tuple[list, int]:
     """Exact values as integers over their least common denominator; float values over 1."""
-    if mode == "float":
-        return list(values), 1
-    # A list, not a generator: math.lcm(*generator) builds a tuple from an
-    # iterator, which left a one-time resident step of about 1.1 MB and read
-    # +7% to +11% on the benchmark's peak RSS.
-    den = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return clear_denominators(values) if mode == "exact" else (list(values), 1)
 
 
 def _convolve(tables: Sequence[tuple[Sequence, int]], n: int, mode: str) -> tuple:
@@ -353,20 +347,21 @@ def _scaled(c, values: Sequence, n: int, mode: str, d: int = 1, e: int = 1) -> t
     return [c ** k * v * e ** (n - k) for k, v in enumerate(values)], d * e ** n
 
 
-def _derivative_table(f: Sequence, g_powers: tuple, s: int, n: int, mode: str, c=1) -> tuple:
+def _derivative_table(f: tuple, g_powers: tuple, s: int, n: int, mode: str, c=1) -> tuple:
     """[c^k (f * g^k)^(s)(x0) for each k]: one dot product per entry, because
-    only the s-th coefficient of f * g^k is read; g_powers from :func:`_powers`."""
-    (f, d), (g_powers, d_g) = _cleared(f, mode), g_powers
+    only the s-th coefficient of f * g^k is read; f from :meth:`Jet.cleared`,
+    g_powers from :func:`_powers`."""
+    (f, d), (g_powers, d_g) = f, g_powers
     weight = math.factorial(s)
     return _scaled(c, [weight * coefficient(f, p, s) for p in g_powers], n, mode, d, d_g)
 
 
-def _collapse_rhs(n: int, s: MultiIndex, f: Sequence[Sequence], slopes: Iterable[tuple], mode: str):
+def _collapse_rhs(n: int, s: MultiIndex, f: Sequence[tuple], slopes: Iterable[tuple], mode: str):
     """The right-hand side of theorem1 and its corollaries: n! prod_i f_i(x0)
     times the slope factors when |s| = n, else 0."""
     if s.weight != n:
         return _product(0, (), mode)
-    return _product(math.factorial(n), [(fi[0], 1) for fi in f] + list(slopes), mode)
+    return _product(math.factorial(n), [(_at(fi, 0, mode), 1) for fi in f] + list(slopes), mode)
 
 
 def theorem1_verify(
@@ -384,17 +379,16 @@ def theorem1_verify(
     n, r, s = inst.n, inst.r, inst.s
     params = _params(n=n, r=r, s=s, f=inst.f, g=inst.g, x0=inst.x0)
     x0, mode = _mode_for(inst.x0, inst.f + inst.g)
-    f = [eval_jet(e, x0, si).plain() for e, si in zip(inst.f, s)]
-    g = [eval_jet(e, x0, si).plain() for e, si in zip(inst.g, s)]
+    f = [eval_jet(e, x0, si).cleared() for e, si in zip(inst.f, s)]
+    g = [eval_jet(e, x0, si).cleared() for e, si in zip(inst.g, s)]
 
-    note = _hypothesis_note("sum of g_i at x0", [gi[0] for gi in g], mode)
+    note = _hypothesis_note("sum of g_i at x0", [_at(gi, 0, mode) for gi in g], mode)
     if note is not None:
-        return _precondition_violated("theorem1", params, mode, tol, note)
+        return _report("theorem1", params, mode, tol, "precondition_violated", (note,))
 
-    tables = [_derivative_table(fi, _powers(*_cleared(gi, mode), n), si, n, mode)
-              for fi, gi, si in zip(f, g, s)]
+    tables = [_derivative_table(fi, _powers(*gi, n), si, n, mode) for fi, gi, si in zip(f, g, s)]
     lhs, scale = _convolve(tables, n, mode)
-    rhs = _collapse_rhs(n, s, f, zip(map(_slope, g), s), mode)
+    rhs = _collapse_rhs(n, s, f, [(_at(gi, 1, mode), si) for gi, si in zip(g, s)], mode)
     return _finish("theorem1", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -414,16 +408,16 @@ def _corollary2_core(
     c = _plain(c, mode)
     note = _hypothesis_note("sum of c", c, mode)
     if note is not None:
-        return _precondition_violated(identity, params, mode, tol, note)
+        return _report(identity, params, mode, tol, "precondition_violated", (note,))
 
-    f = [eval_jet(e, x0, si).plain() for e, si in zip(f, s)]
-    g = eval_jet(g, x0, max(s)).plain()
-    g_powers = _powers(*_cleared(g, mode), n)
+    f = [eval_jet(e, x0, si).cleared() for e, si in zip(f, s)]
+    g = eval_jet(g, x0, max(s)).cleared()
+    g_powers = _powers(*g, n)
     lhs, scale = _convolve(
         [_derivative_table(fi, g_powers, si, n, mode, ci) for fi, ci, si in zip(f, c, s)], n, mode
     )
     # g_i = c_i g, so g_i'^(s_i) = c_i^(s_i) g'^(s_i).
-    rhs = _collapse_rhs(n, s, f, [*zip(c, s), (_slope(g), s.weight)], mode)
+    rhs = _collapse_rhs(n, s, f, [*zip(c, s), (_at(g, 1, mode), s.weight)], mode)
     return _finish(identity, params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -486,15 +480,15 @@ def baran_verify(
     _check_sizes(n)
     params = _params(n=n, f=f, g=g, x0=x0)
     x0, mode = _mode_for(x0, (f, g))
-    f, g = eval_jet(f, x0, n).plain(), eval_jet(g, x0, n).plain()
+    f, g = eval_jet(f, x0, n).cleared(), eval_jet(g, x0, n).cleared()
     # The 1/n! cancels the n! of the n-th derivative, leaving [t^n](f g^j).
     # G_0^k / d_g^k times [t^n](F G^(n-k)) / (d_f d_g^(n-k)) is over d_f d_g^n for every k.
-    (cf, df), (cg, dg) = _cleared(f, mode), _cleared(g, mode)
+    (cf, df), (cg, dg) = f, g
     lhs, scale = _convolve(
         [([(-cg[0]) ** k for k in range(n + 1)], 1),
          ([coefficient(cf, p, n) for p in _powers(cg, dg, n)[0]], df * dg ** n)], n, mode
     )
-    rhs = _product(1, [(f[0], 1), (_slope(g), n)], mode)
+    rhs = _product(1, [(_at(f, 0, mode), 1), (_at(g, 1, mode), n)], mode)
     return _finish("baran", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -516,15 +510,17 @@ def leibniz_product_verify(
     _check_sizes(n)
     params = _params(n=n, f=f, g=g, x0=x0)
     x0, mode = _mode_for(x0, (f, g))
-    f, g = eval_jet(f, x0, n).plain(), eval_jet(g, x0, n).plain()
-    # The outer factor x0 = p/q goes into the first table; each term is over q^(n+1) d_f d_g.
-    ((p,), q), (cf, df), (cg, dg) = (_cleared(v, mode) for v in ([x0.value], f, g))
+    (cf, df), (cg, dg) = eval_jet(f, x0, n).cleared(), eval_jet(g, x0, n).cleared()
+    # x = (p + q t) / q; the outer factor x0 goes into the first table, so
+    # each term is over q^(n+1) d_f d_g, and so is [t^n] x^(n+1) f g.
+    x, q = Jet.variable(x0, n).cleared()
+    p = x[0]
     lhs, scale = _convolve(
         [([p * v for v in _monomial_table(cf, p, q)], q ** (n + 1) * df),
          (_monomial_table(cg, p, q), dg)], n, mode
     )
-    top = series_mul(series_mul(series_pow(Jet.variable(x0, n).plain(), n + 1), f), g)[n]
-    rhs = _product(math.factorial(n), [(top, 1)], mode)
+    top = series_mul(series_mul(series_pow(x, n + 1), cf), cg)[n]
+    rhs = _product(Fraction(math.factorial(n), q ** (n + 1) * df * dg), [(top, 1)], mode)
     return _finish("leibniz_product", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -564,7 +560,7 @@ def _family_check(
     if note is None and s.weight != n:
         note = f"this closed form needs |s| = n, got |s| = {s.weight} with n = {n}"
     if note is not None:
-        return _precondition_violated(identity, params, mode, tol, note)
+        return _report(identity, params, mode, tol, "precondition_violated", (note,))
 
     (*a, b), q = _cleared([*alpha, beta], mode)
     tables = []
@@ -666,15 +662,15 @@ def zero_power_lemma_check(
     _check_sizes(n)
     params = _params(f=f, n=n, x0=x0)
     x0, mode = _mode_for(x0, (f,))
-    f = eval_jet(f, x0, n).plain()
-    note = _hypothesis_note("f(x0)", f[:1], mode)
+    f = eval_jet(f, x0, n).cleared()
+    note = _hypothesis_note("f(x0)", [_at(f, 0, mode)], mode)
     if note is not None:
-        return _precondition_violated("zero_power_lemma", params, mode, tol, note)
+        return _report("zero_power_lemma", params, mode, tol, "precondition_violated", (note,))
 
-    *lows, lhs = [_product(math.factorial(k), [(v, 1)], mode)
-                  for k, v in enumerate(series_pow(f, n))]
+    *lows, lhs = [_product(Fraction(math.factorial(k), f[1] ** n), [(v, 1)], mode)
+                  for k, v in enumerate(series_pow(f[0], n))]
     scale = ordered_sum(map(abs, [lhs, *lows]))
-    rhs = _product(math.factorial(n), [(_slope(f), n)], mode)
+    rhs = _product(math.factorial(n), [(_at(f, 1, mode), n)], mode)
 
     report = _finish("zero_power_lemma", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
     bad = [k for k, low in enumerate(lows) if _verdict_for(low, scale, mode, tol) == "fail"]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 
 class ModeError(TypeError):
@@ -32,9 +32,6 @@ class ModeError(TypeError):
 
 class DomainError(ValueError):
     """An operation was evaluated outside its mathematical domain."""
-
-
-ScalarLike = Union["Scalar", int, Fraction, float]
 
 
 class Scalar:
@@ -198,18 +195,6 @@ def _digits(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
-ZERO = Scalar.exact(0)
-ONE = Scalar.exact(1)
-
-
-def zero(mode: str) -> Scalar:
-    return ZERO if mode == "exact" else Scalar.inexact(0.0)
-
-
-def one(mode: str) -> Scalar:
-    return ONE if mode == "exact" else Scalar.inexact(1.0)
-
-
 @dataclass(frozen=True)
 class MultiIndex:
     """Vector of non-negative integers; the summation index of multinomial sums."""
@@ -289,7 +274,7 @@ def compositions(n: int, r: int) -> Iterator[MultiIndex]:
         yield MultiIndex(entries)
 
 
-def generalized_binomial(z: ScalarLike, s: int) -> Scalar:
+def generalized_binomial(z: Scalar | int | Fraction | float, s: int) -> Scalar:
     """Generalized binomial coefficient C(z, s) = z(z-1)...(z-s+1) / s!.
 
     Defined for arbitrary scalar z and non-negative integer s; exact when z
@@ -299,7 +284,7 @@ def generalized_binomial(z: ScalarLike, s: int) -> Scalar:
         raise DomainError(f"generalized binomial needs s >= 0, got {s}")
     if not isinstance(z, Scalar):
         z = Scalar(z)
-    acc = one(z.mode)
+    acc = z ** 0
     for j in range(s):
         acc = acc * (z - j)
     return acc / math.factorial(s)

@@ -36,8 +36,6 @@ from jetcheck.numeric import (
     factorial,
     generalized_binomial,
     multinomial,
-    one,
-    zero,
 )
 
 TRANSCENDENTALS = ("exp", "log", "sin", "cos", "sqrt")
@@ -141,7 +139,7 @@ def _lift(s, mode):
 def _composition_sum(n, r, mode, factor):
     """sum over |k| = n of multinomial(n, k) * prod_i factor(i, k_i), and the
     same sum of absolute values of the terms."""
-    lhs = scale = zero(mode)
+    lhs = scale = _lift(Scalar.exact(0), mode)
     for k in compositions(n, r):
         term = _lift(multinomial(n, k), mode)
         for i in range(r):
@@ -178,7 +176,7 @@ def reference_baran(n, f, g, x0):
     """Terms (-1)^k C(n,k) g(x0)^k (f g^(n-k))^(n)(x0) / n!, k = 0..n."""
     x0, mode = _mode_for(x0, (f, g))
     fj, gj = eval_jet(f, x0, n), eval_jet(g, x0, n)
-    inv_nfact = one(mode) / _lift(factorial(n), mode)
+    inv_nfact = _lift(Scalar.exact(1), mode) / _lift(factorial(n), mode)
     return _composition_sum(
         n, 2, mode,
         lambda i, k: (-gj.value) ** k if i == 0 else (fj * gj ** k).derivative(n) * inv_nfact,

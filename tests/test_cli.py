@@ -207,6 +207,19 @@ def test_non_finite_float_rhs_factor_exits_2(f):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "baran", "--n", "1", "--f", "x", "--g", "exp(705*x)", "--at", "1.0"),
+    ("lemma", "--f", "exp(700*x)-exp(700.0)", "--n", "3", "--at", "1.0"),
+])
+def test_non_finite_factor_is_a_numeric_overflow_naming_the_value(argv):
+    # g(x0) = exp(705) is inf; the lemma's f' = 700 exp(700) is inf, so f^n holds nan
+    code, out, err = invoke(*argv)
+    assert code == 2 and out == ""
+    assert err.count("error: numeric overflow:") == 1 and err.count("\n") == 1
+    assert "integer ratio" not in err
+    assert "inf" in err or "nan" in err
+
+
 def test_large_float_baran_ends_in_a_report():
     # this instance once died in float(200!) with a traceback and exit code 1
     code, out, err = invoke(

@@ -199,3 +199,93 @@ def test_pow_real_integer_exponent_delegates():
     # works at negative points because no log is involved
     j = Jet.variable(Scalar.inexact(-1.0), 1).pow_real(Scalar.inexact(2.0))
     assert [float(c) for c in j.coeffs] == [1.0, -2.0]
+
+
+# Storage: exact jets hold integers over their least positive denominator.
+
+
+def _is_least(j: Jet) -> bool:
+    values, d = j.cleared()
+    return all(type(v) is int for v in values) and d > 0 and math.gcd(d, *values) == 1
+
+
+def _fraction_quotient(a: list, b: list) -> list:
+    out: list = []
+    for k in range(len(a)):
+        out.append((a[k] - sum(out[j] * b[k - j] for j in range(k))) / b[0])
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(exact_jets3, exact_jets3, exact_scalars, st.integers(min_value=-3, max_value=4))
+def test_every_exact_jet_has_the_least_positive_denominator(a, b, c, m):
+    built = [a, b, -a, a + b, a - b, a * b, a * c, c * a, a * 3, Jet.variable(c, 3),
+             Jet.constant(c, 3), Jet.constant(c, 0), Jet.variable(c, 0)]
+    if c != 0:
+        built.append(a / c)
+    if b.value != 0:
+        built += [a / b, c / b, 2 / b, b ** m]
+    assert all(_is_least(j) for j in built)
+
+
+def test_eval_jet_results_have_the_least_positive_denominator():
+    from jetcheck.exprs import eval_jet
+    from jetcheck.parsing import parse
+
+    for text in ("(x+1)^2/(3*x-1)", "x^-3 - 5/7", "(2*x/3)^4*(x-1/2)", "1/(x^2+1)"):
+        for order in (0, 1, 4):
+            assert _is_least(eval_jet(parse(text), Scalar.exact(-3, 2), order))
+
+
+def test_jets_built_from_scalars_and_by_arithmetic_are_equal_with_equal_hashes():
+    x = Jet.variable(Scalar.exact(-3, 2), 3)
+    square = (x + Jet.constant(Scalar.exact(1), 3)) ** 2
+    expanded = x * x + 2 * x + Jet.constant(Scalar.exact(1), 3)
+    # (x + 1)^2 at -3/2: 1/4, 2 (x + 1) = -1, 1, 0
+    literal = exact_jet(Fraction(1, 4), -1, 1, 0)
+    assert square == expanded == literal
+    assert hash(square) == hash(expanded) == hash(literal)
+    assert square.cleared() == ((1, -4, 4, 0), 4)
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_exact_division_matches_a_fraction_reference(order):
+    a = [Fraction(3 - 2 * k, k + 2) for k in range(order + 1)]
+    for b in ([Fraction(-5, 3)] + [Fraction(k, 7) - 1 for k in range(1, order + 1)],
+              [Fraction(2, 9)] + [Fraction((-1) ** k, k) for k in range(1, order + 1)]):
+        got = exact_jet(*a) / exact_jet(*b)
+        assert [c.value for c in got.coeffs] == _fraction_quotient(a, b)
+        assert _is_least(got)
+    # x^-3 at -2/3 has the coefficients C(-3, k) x0^(-3-k)
+    x0 = Fraction(-2, 3)
+    want = [Fraction(math.prod(-3 - j for j in range(k)), math.factorial(k)) * x0 ** (-3 - k)
+            for k in range(order + 1)]
+    assert [c.value for c in (Jet.variable(Scalar(x0), order) ** -3).coeffs] == want
+
+
+def test_mixing_modes_raises_mode_error():
+    e, f = exact_jet(1, 2), float_jet(1.0, 2.0)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        with pytest.raises(ModeError):
+            getattr(e, op)(f)
+        with pytest.raises(ModeError):
+            getattr(f, op)(e)
+    with pytest.raises(ModeError):
+        e * Scalar.inexact(2.0)
+    with pytest.raises(ModeError):
+        Scalar.exact(2) / f
+    with pytest.raises(ModeError):
+        Jet([Scalar.inexact(1.0), Scalar.exact(2)])
+    assert float_jet(1.0, 2.0) != exact_jet(1, 2)
+
+
+def test_stored_coefficients_are_an_immutable_tuple():
+    for j in (exact_jet(Fraction(1, 2), 3), float_jet(0.5, 3.0)):
+        values, d = j.cleared()
+        assert type(values) is tuple and type(j.coeffs) is tuple
+        with pytest.raises(TypeError):
+            values[0] = 7
+        with pytest.raises(AttributeError):
+            j.coeffs = ()
+    assert exact_jet(Fraction(1, 2), 3).cleared() == ((1, 6), 2)
+    assert float_jet(0.5, 3.0).cleared() == ((0.5, 3.0), 1)
