@@ -12,7 +12,6 @@ from .numeric import (
     MultiIndex,
     Scalar,
     compositions,
-    factorial,
     generalized_binomial,
     multinomial,
 )
@@ -62,9 +61,8 @@ __all__ = [
     "PowReal", "Scalar", "Sub", "SweepConfig", "SweepSummary",
     "TheoremInstance", "Var", "VerificationReport", "X",
     "baran_verify", "compositions", "corollary2_verify", "diff",
-    "eval_jet", "eval_scalar", "exp_family_check", "factorial",
-    "generalized_binomial", "leibniz_product_verify", "multinomial",
-    "nth_derivative", "parse", "power_family_check", "sweep",
-    "symmetric_pair_verify", "theorem1_verify", "to_text",
-    "zero_power_lemma_check",
+    "eval_jet", "eval_scalar", "exp_family_check", "generalized_binomial",
+    "leibniz_product_verify", "multinomial", "nth_derivative", "parse",
+    "power_family_check", "sweep", "symmetric_pair_verify",
+    "theorem1_verify", "to_text", "zero_power_lemma_check",
 ]

@@ -376,7 +376,7 @@ def _eval_node(e: Expr, x0: Scalar, lift: bool, memo: dict[int, Scalar]) -> Scal
 def eval_scalar(e: Expr, x0: Scalar) -> Scalar:
     """Evaluate at x0.  Exact when the tree and the point are exact; any
     decimal literal in the tree forces float mode for the whole evaluation."""
-    lift = contains_float(e) or not x0.is_exact
+    lift = not x0.is_exact or contains_float(e)
     return _eval(e, x0.to_float() if lift else x0, lift, {})
 
 
@@ -392,7 +392,7 @@ def _named(node: Expr, op, *operands) -> Jet:
 def eval_jet(e: Expr, x0: Scalar, order: int) -> Jet:
     """Evaluate into an order-n jet at x0, by structural recursion onto the
     jet operations.  Mode selection matches :func:`eval_scalar`."""
-    lift = contains_float(e) or not x0.is_exact
+    lift = not x0.is_exact or contains_float(e)
     return _jet(e, Jet.variable(x0.to_float() if lift else x0, order))
 
 
@@ -419,7 +419,7 @@ def _jet(node: Expr, seed: Jet) -> Jet:
         alpha = node.exponent if seed.is_exact else node.exponent.to_float()
         return _named(node, Jet.pow_real, _jet(node.base, seed), alpha)
     if isinstance(node, Apply):
-        return _named(node, Jet.apply, _jet(node.arg, seed), node.fn)
+        return _named(node, getattr(Jet, node.fn), _jet(node.arg, seed))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -439,51 +439,37 @@ def nth_derivative(e: Expr, k: int, x0: Scalar) -> Scalar:
 
 
 # Precedence levels for printing: addition 1, multiplication 2, unary minus 3,
-# power 4, atoms 5.
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return 1
-    if isinstance(e, (Mul, Div)):
-        return 2
-    if isinstance(e, Neg):
-        return 3
-    if isinstance(e, Const) and e.value < 0:
-        return 3  # prints with a leading minus
-    if isinstance(e, (PowInt, PowReal)):
-        return 4
-    return 5
-
+# power 4, atoms 5.  Each node is classified once, for its text and its level.
 
 def _txt(e: Expr, min_prec: int) -> str:
-    p = _prec(e)
     if isinstance(e, Const):
-        s = e.value.as_text()
+        # a negative constant prints with a leading minus
+        s, p = e.value.as_text(), (3 if e.value < 0 else 5)
     elif isinstance(e, Var):
-        s = "x"
+        s, p = "x", 5
     elif isinstance(e, Neg):
-        s = "-" + _txt(e.arg, 3)
+        s, p = "-" + _txt(e.arg, 3), 3
     elif isinstance(e, Add):
-        s = f"{_txt(e.left, 1)} + {_txt(e.right, 2)}"
+        s, p = f"{_txt(e.left, 1)} + {_txt(e.right, 2)}", 1
     elif isinstance(e, Sub):
-        s = f"{_txt(e.left, 1)} - {_txt(e.right, 2)}"
+        s, p = f"{_txt(e.left, 1)} - {_txt(e.right, 2)}", 1
     elif isinstance(e, Mul):
-        s = f"{_txt(e.left, 2)}*{_txt(e.right, 3)}"
+        s, p = f"{_txt(e.left, 2)}*{_txt(e.right, 3)}", 2
     elif isinstance(e, Div):
         right = _txt(e.right, 3)
         if right[0].isdigit():
             # keep the lexer from gluing a trailing integer on the left onto
             # '/<digits>' as a rational literal
             right = f"({right})"
-        s = f"{_txt(e.left, 2)}/{right}"
+        s, p = f"{_txt(e.left, 2)}/{right}", 2
     elif isinstance(e, PowInt):
-        s = f"{_txt(e.base, 5)}^{e.exponent}"
+        s, p = f"{_txt(e.base, 5)}^{e.exponent}", 4
     elif isinstance(e, PowReal):
         exp = e.exponent
         exp_txt = f"({exp.as_text()})" if exp.is_exact else exp.as_text()
-        s = f"{_txt(e.base, 5)}^{exp_txt}"
+        s, p = f"{_txt(e.base, 5)}^{exp_txt}", 4
     elif isinstance(e, Apply):
-        s = f"{e.fn}({_txt(e.arg, 1)})"
+        s, p = f"{e.fn}({_txt(e.arg, 1)})", 5
     else:
         raise TypeError(f"not an expression node: {e!r}")
     return f"({s})" if p < min_prec else s

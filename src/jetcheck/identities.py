@@ -132,10 +132,6 @@ class VerificationReport:
     verdict: str  # "pass" | "fail" | "precondition_violated"
     notes: tuple[str, ...] = ()
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
 
 @dataclass(frozen=True)
 class TheoremInstance:
@@ -183,8 +179,8 @@ def _mode_for(x0: Scalar, exprs: Sequence[Expr], scalars: Sequence[Scalar] = ())
     """Evaluation point and ambient mode: float as soon as any input is."""
     lift = (
         not x0.is_exact
-        or any(contains_float(e) for e in exprs)
         or any(not s.is_exact for s in scalars)
+        or any(contains_float(e) for e in exprs)
     )
     return (x0.to_float() if lift else x0), ("float" if lift else "exact")
 
@@ -287,13 +283,13 @@ def _params(**fields) -> dict[str, str]:
 
 
 def _param_text(value) -> str:
-    """An int or str as is, a Scalar or MultiIndex by ``as_text``, an
-    expression by ``to_text``, a tuple as its items joined by commas."""
+    """An int or str as is, a Scalar by ``as_text``, an expression by
+    ``to_text``, a tuple (a MultiIndex too) as its items joined by commas."""
     if isinstance(value, tuple):
         return ",".join(map(_param_text, value))
     if isinstance(value, (int, str)):
         return str(value)
-    return value.as_text() if isinstance(value, (Scalar, MultiIndex)) else to_text(value)
+    return value.as_text() if isinstance(value, Scalar) else to_text(value)
 
 
 def _cleared(values: Sequence, mode: str) -> tuple[list, int]:
@@ -726,7 +722,6 @@ class SweepConfig:
 @dataclass(frozen=True)
 class SweepSummary:
     config: SweepConfig
-    total: int
     counts: dict[str, int]
     per_identity: dict[str, dict[str, int]]
     first_failure: VerificationReport | None
@@ -756,7 +751,6 @@ def sweep(config: SweepConfig) -> SweepSummary:
             first_failure = report
     return SweepSummary(
         config=config,
-        total=config.trials,
         counts=counts,
         per_identity=per_identity,
         first_failure=first_failure,

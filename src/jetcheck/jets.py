@@ -335,12 +335,6 @@ class Jet:
             b.append(acc / b[0] / 2)
         return Jet(b)
 
-    def apply(self, name: str) -> Jet:
-        """Dispatch one of the named elementary functions."""
-        if name not in ELEMENTARY_FUNCTIONS:
-            raise ValueError(f"unknown elementary function {name!r}")
-        return getattr(self, name)()
-
     def pow_real(self, alpha: Scalar) -> Jet:
         """Real power a**alpha.
 

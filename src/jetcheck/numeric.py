@@ -11,17 +11,16 @@ float one raises :class:`ModeError`.  Conversion is explicit, via
 operation and are lifted into the mode of the other operand (an integer is
 exact in both modes).
 
-The combinatorial layer (factorial, multinomial coefficients, composition
-enumeration, generalized binomial coefficients) is exact by construction:
-everything is computed with arbitrary-precision integers, so identity
-residuals that should be zero come out exactly zero.  Callers working in
-float mode convert at the boundary.
+The combinatorial layer (multi-indices, which are checked tuples, multinomial
+coefficients, composition enumeration, generalized binomial coefficients) is
+exact by construction: everything is computed with arbitrary-precision
+integers, so identity residuals that should be zero come out exactly zero.
+Callers working in float mode convert at the boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -195,44 +194,24 @@ def _digits(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(tuple):
     """Vector of non-negative integers; the summation index of multinomial sums."""
 
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
+    def __new__(cls, entries: Iterable[int]) -> MultiIndex:
+        entries = tuple(entries)
         if len(entries) < 1:
             raise ValueError("a multi-index needs at least one entry")
         for e in entries:
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"multi-index entries must be non-negative integers, got {e!r}")
-        object.__setattr__(self, "entries", entries)
+        return super().__new__(cls, entries)
 
     @property
     def weight(self) -> int:
         """Sum of the entries."""
-        return sum(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def as_text(self) -> str:
-        return ",".join(str(e) for e in self.entries)
-
-
-def factorial(n: int) -> Scalar:
-    """n! as an exact scalar; arbitrary precision, never overflows."""
-    if n < 0:
-        raise DomainError(f"factorial of negative integer {n}")
-    return Scalar.exact(math.factorial(n))
+        return sum(self)
 
 
 def multinomial(n: int, k: MultiIndex | Iterable[int]) -> Scalar:

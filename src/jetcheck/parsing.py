@@ -23,7 +23,7 @@ Notes on the lexical level:
 * The only variable is ``x``; any other identifier is a parse error.
 * An exponent times the exponents of the integer powers nested in its base
   is bounded by ``MAX_EXPONENT`` in magnitude, exact constant powers by
-  ``MAX_CONSTANT_BITS`` bits.
+  ``MAX_CONSTANT_BITS`` bits, and the nesting depth by ``MAX_NESTING``.
 * An integer longer than the interpreter's int-to-str digit limit and a
   decimal beyond the float range are parse errors.  :func:`parse_number`
   reads one signed NUMBER with the same lexer, for command-line values.
@@ -56,6 +56,7 @@ from .numeric import Scalar
 
 MAX_EXPONENT = 10_000
 MAX_CONSTANT_BITS = 100_000
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -162,6 +163,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # groups, function arguments, signs and exponents now open
         # id of each PowInt built -> the largest exponent product on a path down from it
         self.nesting: dict[int, int] = {}
 
@@ -209,17 +211,26 @@ class _Parser:
             right = self.unary()
             node = Mul(node, right) if tok.text == "*" else Div(node, right)
 
+    def _nested(self, tok: _Token, parse) -> Expr:
+        """``parse()`` one level deeper, the level ``tok`` opens; at most MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(tok.offset, f"at most {MAX_NESTING} levels of nesting", "one more")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def unary(self) -> Expr:
-        if self.match_op("-"):
-            return Neg(self.unary())
-        return self.power()
+        tok = self.match_op("-")
+        return self.power() if tok is None else Neg(self._nested(tok, self.unary))
 
     def power(self) -> Expr:
         base = self.atom()
-        if not self.match_op("^"):
+        tok = self.match_op("^")
+        if tok is None:
             return base
         exp_tok = self.peek()
-        exponent = self.unary()
+        exponent = self._nested(tok, self.unary)
         value = constant_value(exponent)
         if value is None:
             raise ParseError(exp_tok.offset, "a constant exponent", "a non-constant expression")
@@ -262,13 +273,13 @@ class _Parser:
                 return Var()
             if tok.text in ELEMENTARY_FUNCTIONS:
                 self.expect_op("(", f"after '{tok.text}'")
-                inner = self.expr()
+                inner = self._nested(tok, self.expr)
                 self.expect_op(")", "to close the function argument")
                 return Apply(tok.text, inner)
             raise ParseError(tok.offset, "'x' or a function name", f"'{tok.text}'")
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            inner = self.expr()
+            inner = self._nested(tok, self.expr)
             self.expect_op(")", "to close the group")
             return inner
         raise ParseError(

@@ -9,6 +9,7 @@ them.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from jetcheck.identities import _mode_for
 from jetcheck.numeric import (
     DomainError,
     compositions,
-    factorial,
     generalized_binomial,
     multinomial,
 )
@@ -176,7 +176,7 @@ def reference_baran(n, f, g, x0):
     """Terms (-1)^k C(n,k) g(x0)^k (f g^(n-k))^(n)(x0) / n!, k = 0..n."""
     x0, mode = _mode_for(x0, (f, g))
     fj, gj = eval_jet(f, x0, n), eval_jet(g, x0, n)
-    inv_nfact = _lift(Scalar.exact(1), mode) / _lift(factorial(n), mode)
+    inv_nfact = _lift(Scalar.exact(1), mode) / _lift(Scalar.exact(math.factorial(n)), mode)
     return _composition_sum(
         n, 2, mode,
         lambda i, k: (-gj.value) ** k if i == 0 else (fj * gj ** k).derivative(n) * inv_nfact,

@@ -79,7 +79,7 @@ def test_criterion_2_theorem1_exhaustive_grid():
                 all_s = [s for w in range(n + 1) for s in compositions(w, r)]
                 for s in all_s:
                     for trial in range(25):
-                        rng = random.Random(f"grid:{n}:{r}:{s.entries}:{trial}")
+                        rng = random.Random(f"grid:{n}:{r}:{tuple(s)}:{trial}")
                         f = tuple(rand_polynomial(rng) for _ in range(r))
                         g_head = [rand_polynomial(rng) for _ in range(r - 1)]
                         g_sum = const(0)

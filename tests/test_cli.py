@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetcheck.cli import run
+from jetcheck.parsing import MAX_NESTING
 
 EXPECTED_KEYS = [
     "identity", "params", "mode", "lhs", "rhs", "residual",
@@ -261,6 +262,18 @@ def test_deep_nesting_exits_2_with_one_line_error():
     code, out, err = invoke("lemma", "--f", deep, "--n", "1", "--at", "0")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("f, at", [
+    ("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, "0"),
+    ("-" * MAX_NESTING + "x", "0"),
+    ("-(" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2), "0"),
+    ("x^" + "1^" * (MAX_NESTING - 1) + "1", "0"),
+    ("sin(" * MAX_NESTING + "x" + ")" * MAX_NESTING, "0.0"),
+], ids=["groups", "signs", "signed groups", "exponents", "arguments"])
+def test_nesting_at_the_bound_parses_and_verifies(f, at):
+    code, out, err = invoke("lemma", "--f", f, "--n", "2", "--at", at)
+    assert (code, err) == (0, "") and "verdict: pass" in out
 
 
 def test_binomid_eq5_and_eq7():

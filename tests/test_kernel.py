@@ -177,7 +177,7 @@ def test_float_verdicts_match_the_reference_on_the_acceptance_suite():
             for w in range(n + 1):
                 for s in identities.compositions(w, r):
                     for trial in range(25):
-                        rng = random.Random(f"grid:{n}:{r}:{s.entries}:{trial}")
+                        rng = random.Random(f"grid:{n}:{r}:{tuple(s)}:{trial}")
                         f = tuple(rand_polynomial(rng) for _ in range(r))
                         g_head = [rand_polynomial(rng) for _ in range(r - 1)]
                         g_sum = const(0)

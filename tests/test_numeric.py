@@ -10,7 +10,6 @@ from jetcheck.numeric import (
     MultiIndex,
     Scalar,
     compositions,
-    factorial,
     generalized_binomial,
     multinomial,
 )
@@ -91,17 +90,6 @@ class TestMultiIndex:
             MultiIndex((1, -1))
         with pytest.raises(ValueError):
             MultiIndex(())
-
-
-def test_factorial_examples():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(20) == Scalar.exact(2432902008176640000)
-
-
-def test_factorial_negative_rejected():
-    with pytest.raises(DomainError):
-        factorial(-1)
 
 
 def test_multinomial_examples():

@@ -1,3 +1,5 @@
+import gc
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from jetcheck.exprs import (
     to_text,
 )
 from jetcheck.numeric import Scalar
-from jetcheck.parsing import ParseError, parse, parse_number
+from jetcheck.parsing import MAX_NESTING, ParseError, parse, parse_number
 
 
 def C(p, q=1):
@@ -217,3 +219,26 @@ def test_nested_integer_powers_are_bounded_by_their_product(text):
                                   "((x+1)^10000)^0", "(x^5000)^2.5", "x^10000*x^10000"])
 def test_nested_integer_powers_within_the_bound_parse(text):
     parse(text)
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("(" * 3000 + "x" + ")" * 3000, MAX_NESTING),
+    ("-" * 5000 + "x", MAX_NESTING),
+    ("sin(" * 3000 + "x" + ")" * 3000, 4 * MAX_NESTING),
+    ("1^" * 3000 + "1", 2 * MAX_NESTING + 1),
+    ("-(" * 3000 + "x" + ")" * 3000, MAX_NESTING),
+], ids=["groups", "signs", "arguments", "exponents", "signed groups"])
+def test_nesting_beyond_the_bound_is_a_parse_error(text, offset):
+    # the error names the token that opens level MAX_NESTING + 1; the earlier
+    # tests' garbage is collected first, so that its collection is not timed
+    gc.collect()
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.offset == offset and f"at most {MAX_NESTING} levels" in err.value.expected
+
+
+def test_a_left_deep_sum_is_not_nesting():
+    terms = ["x"] * (2 * MAX_NESTING)
+    assert to_text(parse("+".join(terms))) == " + ".join(terms)
