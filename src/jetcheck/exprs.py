@@ -389,10 +389,13 @@ def _named(node: Expr, op, *operands) -> Jet:
         raise DomainError(f"{err} in '{to_text(node)}'") from None
 
 
-def eval_jet(e: Expr, x0: Scalar, order: int) -> Jet:
+def eval_jet(e: Expr, x0: Scalar, order: int, *, mode: str | None = None) -> Jet:
     """Evaluate into an order-n jet at x0, by structural recursion onto the
-    jet operations.  Mode selection matches :func:`eval_scalar`."""
-    lift = not x0.is_exact or contains_float(e)
+    jet operations.  Mode selection matches :func:`eval_scalar`, unless the
+    caller passes the ``mode`` it has already chosen for the tree and x0
+    ("exact" only for an exact x0 and a tree without float literals), which
+    saves walking the tree for them."""
+    lift = mode == "float" if mode is not None else not x0.is_exact or contains_float(e)
     return _jet(e, Jet.variable(x0.to_float() if lift else x0, order))
 
 

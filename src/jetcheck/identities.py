@@ -44,13 +44,16 @@ cleared to Python integers over one denominator (:func:`_cleared`), so the
 fold is integer arithmetic and the kernel divides once for the lhs and once
 for the scale; float tables are the same floats over 1.  Jets hold that
 form (:meth:`Jet.cleared`), so :func:`_cleared` clears only scalar inputs.
+The last fold forms only entry n, the one an identity reads.
 
 Between its edges the module works on plain values: ``Fraction`` in exact
 mode, ``float`` in float mode.  :func:`_check_sizes` makes list inputs
 tuples; once :func:`_mode_for` has chosen the mode, Scalar inputs become
 plain values, as does a jet coefficient read as one value (:func:`_at`);
-only :func:`_report` builds a report.  Series products and powers, and every
-sum over coefficient values, come from the series core in :mod:`jetcheck.jets`.
+only :func:`_report` builds a report, whose ``params`` is rendered on first
+read; :func:`eval_jet` is given the mode, so no tree is walked twice.  Series
+products and powers, and every sum over coefficient values, come from the
+series core in :mod:`jetcheck.jets`.
 Every weighted right-hand side (n!, multinomial(n, s), or 1 for baran) is
 formed exactly by :func:`_product` and, in float mode, rounded once, so n!
 never has to fit in a float on its own.
@@ -63,6 +66,7 @@ or parallelism with which trials would be evaluated.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -117,12 +121,29 @@ PERTURBABLE_IDENTITIES = (
 )
 
 
+class _ParamsOnRead:
+    """The report's ``params`` field.  Verifiers give it as a tuple of (name,
+    value) pairs of their immutable inputs (:func:`_params`), rendered to
+    text on the first read, once: only a reader of the report needs it."""
+
+    def __get__(self, report, owner: type | None = None) -> dict[str, str]:
+        if report is None:
+            raise AttributeError("params")  # so the dataclass field has no default
+        params = report.__dict__["params"]
+        if isinstance(params, tuple):
+            params = report.__dict__["params"] = {k: _param_text(v) for k, v in params}
+        return params
+
+    def __set__(self, report, value) -> None:
+        report.__dict__["params"] = value
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of checking one identity instance."""
 
     identity: str
-    params: dict[str, str]
+    params: dict[str, str] = _ParamsOnRead()
     mode: str  # "exact" | "float"
     lhs: Scalar | None
     rhs: Scalar | None
@@ -225,7 +246,7 @@ def _verdict_for(residual, scale, mode: str, tol: float) -> str:
 
 def _finish(
     identity: str,
-    params: dict[str, str],
+    params: tuple,
     mode: str,
     lhs,
     rhs,
@@ -257,7 +278,7 @@ def _finish(
 
 
 def _report(
-    identity: str, params: dict[str, str], mode: str, tol: float, verdict: str,
+    identity: str, params: tuple, mode: str, tol: float, verdict: str,
     notes: tuple[str, ...], sides: tuple = (None, None, None, None),
 ) -> VerificationReport:
     """The one place a report is built, also for a precondition violation,
@@ -277,9 +298,9 @@ def _hypothesis_note(what: str, values: Sequence, mode: str) -> str | None:
     return f"hypothesis failed: {what} is {_text(total)}, not 0"
 
 
-def _params(**fields) -> dict[str, str]:
-    """Report parameters in the order given, each written from its type."""
-    return {key: _param_text(value) for key, value in fields.items()}
+def _params(**fields) -> tuple:
+    """Report parameters in the order given, each written from its type on first read."""
+    return tuple(fields.items())
 
 
 def _param_text(value) -> str:
@@ -300,31 +321,35 @@ def _cleared(values: Sequence, mode: str) -> tuple[list, int]:
 def _convolve(tables: Sequence[tuple[Sequence, int]], n: int, mode: str) -> tuple:
     """The sum over |k| = n of multinomial(n, k) * prod_i T_i[k_i], and its
     cancellation scale (the same sum over the absolute values), for tables
-    (values, d) with T[k] = values[k] / d.
+    (values, d) of entries k = 0..n with T[k] = values[k] / d.
 
     The sum is n! [t^n] prod_i sum_k T_i[k] t^k / k!, a labelled product of
     exponential generating functions.  Folding the tables with the binomial
     convolution (a * b)_m = sum_j C(m, j) a_j b_(m-j) and reading entry n
     therefore gives it exactly, in O(r n^2) operations instead of one
-    product per composition.  The weights are positive integers, so the same
-    fold over |values| gives the scale.  Exact tables hold integers over one
-    positive denominator, so exact mode divides once for each; as only entry
-    n is read, a table may carry a denominator another table's entries need.
+    product per composition; its last fold forms only entry n.  The weights
+    are positive integers, so the same fold over |values| gives the scale.
+    Exact tables hold integers over one positive denominator, so exact mode
+    divides once for each; as only entry n is read, a table may carry a
+    denominator another table's entries need.
     """
+    rows = [[math.comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
     lhs, den = tables[0]
     mag = [abs(v) for v in lhs]
-    for values, d in tables[1:]:
-        lhs = _binomial_convolution(lhs, values)
-        mag = _binomial_convolution(mag, [abs(v) for v in values])
+    for i, (values, d) in enumerate(tables[1:], 2):
+        entries = range(n + 1) if i < len(tables) else (n,)
+        lhs = _binomial_convolution(lhs, values, rows, entries)
+        mag = _binomial_convolution(mag, [abs(v) for v in values], rows, entries)
         den *= d
     if mode == "exact":
-        return Fraction(lhs[n], den), Fraction(mag[n], den)
-    return lhs[n], mag[n]
+        return Fraction(lhs[-1], den), Fraction(mag[-1], den)
+    return lhs[-1], mag[-1]
 
 
-def _binomial_convolution(a: Sequence, b: Sequence) -> list:
-    return [ordered_sum(math.comb(m, j) * a[j] * b[m - j] for j in range(m + 1))
-            for m in range(len(a))]
+def _binomial_convolution(a: Sequence, b: Sequence, rows: list, entries: Iterable) -> list:
+    """Entries m of (a * b)_m = sum_j C(m, j) a_j b_(m-j), C(m, j) = rows[m][j]."""
+    return [ordered_sum(map(operator.mul, map(operator.mul, rows[m], a), b[m::-1]))
+            for m in entries]
 
 
 def _powers(g: Sequence, d: int, n: int) -> tuple[list[list], int]:
@@ -375,8 +400,8 @@ def theorem1_verify(
     n, r, s = inst.n, inst.r, inst.s
     params = _params(n=n, r=r, s=s, f=inst.f, g=inst.g, x0=inst.x0)
     x0, mode = _mode_for(inst.x0, inst.f + inst.g)
-    f = [eval_jet(e, x0, si).cleared() for e, si in zip(inst.f, s)]
-    g = [eval_jet(e, x0, si).cleared() for e, si in zip(inst.g, s)]
+    f = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(inst.f, s)]
+    g = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(inst.g, s)]
 
     note = _hypothesis_note("sum of g_i at x0", [_at(gi, 0, mode) for gi in g], mode)
     if note is not None:
@@ -390,7 +415,7 @@ def theorem1_verify(
 
 def _corollary2_core(
     identity: str,
-    params: dict[str, str],
+    params: tuple,
     n: int,
     f: Sequence[Expr],
     g: Expr,
@@ -406,8 +431,8 @@ def _corollary2_core(
     if note is not None:
         return _report(identity, params, mode, tol, "precondition_violated", (note,))
 
-    f = [eval_jet(e, x0, si).cleared() for e, si in zip(f, s)]
-    g = eval_jet(g, x0, max(s)).cleared()
+    f = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(f, s)]
+    g = eval_jet(g, x0, max(s), mode=mode).cleared()
     g_powers = _powers(*g, n)
     lhs, scale = _convolve(
         [_derivative_table(fi, g_powers, si, n, mode, ci) for fi, ci, si in zip(f, c, s)], n, mode
@@ -476,7 +501,7 @@ def baran_verify(
     _check_sizes(n)
     params = _params(n=n, f=f, g=g, x0=x0)
     x0, mode = _mode_for(x0, (f, g))
-    f, g = eval_jet(f, x0, n).cleared(), eval_jet(g, x0, n).cleared()
+    f, g = (eval_jet(e, x0, n, mode=mode).cleared() for e in (f, g))
     # The 1/n! cancels the n! of the n-th derivative, leaving [t^n](f g^j).
     # G_0^k / d_g^k times [t^n](F G^(n-k)) / (d_f d_g^(n-k)) is over d_f d_g^n for every k.
     (cf, df), (cg, dg) = f, g
@@ -506,7 +531,7 @@ def leibniz_product_verify(
     _check_sizes(n)
     params = _params(n=n, f=f, g=g, x0=x0)
     x0, mode = _mode_for(x0, (f, g))
-    (cf, df), (cg, dg) = eval_jet(f, x0, n).cleared(), eval_jet(g, x0, n).cleared()
+    (cf, df), (cg, dg) = (eval_jet(e, x0, n, mode=mode).cleared() for e in (f, g))
     # x = (p + q t) / q; the outer factor x0 goes into the first table, so
     # each term is over q^(n+1) d_f d_g, and so is [t^n] x^(n+1) f g.
     x, q = Jet.variable(x0, n).cleared()
@@ -658,7 +683,7 @@ def zero_power_lemma_check(
     _check_sizes(n)
     params = _params(f=f, n=n, x0=x0)
     x0, mode = _mode_for(x0, (f,))
-    f = eval_jet(f, x0, n).cleared()
+    f = eval_jet(f, x0, n, mode=mode).cleared()
     note = _hypothesis_note("f(x0)", [_at(f, 0, mode)], mode)
     if note is not None:
         return _report("zero_power_lemma", params, mode, tol, "precondition_violated", (note,))

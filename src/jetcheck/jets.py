@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .numeric import DomainError, ModeError, Scalar
@@ -45,17 +46,15 @@ ELEMENTARY_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 
 
 def ordered_sum(terms: Iterable):
-    """Add left to right from the integer 0, as the built-in ``sum`` did
-    before Python 3.12 compensated float sums; the order fixes the rounding."""
-    total = 0
-    for term in terms:
-        total = total + term
-    return total
+    """Add left to right from the integer 0 (a ``reduce``, in C), as the built-in
+    ``sum`` did before Python 3.12 compensated float sums; the order fixes the rounding."""
+    return reduce(operator.add, terms, 0)
 
 
 def coefficient(a: Sequence, b: Sequence, m: int):
-    """[t^m] of the product of two coefficient lists."""
-    return ordered_sum(a[j] * b[m - j] for j in range(m + 1))
+    """[t^m] of the product of two coefficient lists that both reach index m,
+    summed over a[j] * b[m-j] for j = 0..m."""
+    return ordered_sum(map(operator.mul, a, b[m::-1]))
 
 
 def series_mul(a: Sequence, b: Sequence) -> list:

@@ -23,7 +23,9 @@ Notes on the lexical level:
 * The only variable is ``x``; any other identifier is a parse error.
 * An exponent times the exponents of the integer powers nested in its base
   is bounded by ``MAX_EXPONENT`` in magnitude, exact constant powers by
-  ``MAX_CONSTANT_BITS`` bits, and the nesting depth by ``MAX_NESTING``.
+  ``MAX_CONSTANT_BITS`` bits, and the nesting depth by ``MAX_NESTING``.  A
+  loop-built chain (``x+x+...``) too deep for the checks of a power to walk
+  makes that power a parse error at its ``^``.
 * An integer longer than the interpreter's int-to-str digit limit and a
   decimal beyond the float range are parse errors.  :func:`parse_number`
   reads one signed NUMBER with the same lexer, for command-line values.
@@ -231,15 +233,23 @@ class _Parser:
             return base
         exp_tok = self.peek()
         exponent = self._nested(tok, self.unary)
-        value = constant_value(exponent)
-        if value is None:
-            raise ParseError(exp_tok.offset, "a constant exponent", "a non-constant expression")
-        if not (value.is_exact and value.value.denominator == 1):
-            return PowReal(base, value)
-        k, folded = int(value.value), None if contains_float(base) else constant_value(base)
+        try:
+            value = constant_value(exponent)
+            if value is None:
+                raise ParseError(exp_tok.offset, "a constant exponent",
+                                 "a non-constant expression")
+            if not (value.is_exact and value.value.denominator == 1):
+                return PowReal(base, value)
+            k, folded = int(value.value), None if contains_float(base) else constant_value(base)
+            nested = abs(k) * self._nesting(base)
+        except RecursionError:
+            # A long loop-built chain (x+x+...) as the base or the exponent is
+            # deeper than these walks can go.  The handler costs nothing until
+            # it runs.
+            raise ParseError(tok.offset, "a base and an exponent shallow enough to check",
+                             "a deeper one") from None
         q = 1 if folded is None else folded.value
         bits = abs(k) * max(abs(q.numerator).bit_length(), q.denominator.bit_length())
-        nested = abs(k) * self._nesting(base)
         if nested > MAX_EXPONENT or bits > MAX_CONSTANT_BITS:
             raise ParseError(exp_tok.offset, "exponents whose product over nested powers is at most "
                              f"{MAX_EXPONENT} in magnitude and a power of at most "

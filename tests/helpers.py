@@ -149,6 +149,15 @@ def _composition_sum(n, r, mode, factor):
     return lhs, scale
 
 
+def reference_convolve(tables, n):
+    """The kernel's exact lhs and scale for integer tables (values, d), with
+    entry k of table i read as values[k] / d, as Fractions."""
+    lhs, scale = _composition_sum(
+        n, len(tables), "exact", lambda i, k: Scalar(Fraction(tables[i][0][k], tables[i][1]))
+    )
+    return lhs.value, scale.value
+
+
 def reference_theorem1(inst):
     x0, mode = _mode_for(inst.x0, inst.f + inst.g)
     f = [eval_jet(e, x0, inst.n) for e in inst.f]

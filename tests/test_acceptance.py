@@ -34,7 +34,7 @@ from jetcheck import (
 )
 from jetcheck.cli import run
 from jetcheck.exprs import add, const, neg, sub
-from jetcheck.identities import compositions
+from jetcheck.identities import SweepConfig, compositions, sweep
 from jetcheck.parsing import parse
 
 
@@ -237,22 +237,39 @@ def test_theorem1_n12_r6_within_budget():
         assert report.rhs != 0
 
 
+def _quadratic_instance(n: int, r: int) -> TheoremInstance:
+    """theorem1 with degree-2 polynomials, s = (n/r, ..., n/r) and x0 = 3/2."""
+    rng = random.Random(f"wide:{n}:{r}:1")
+
+    def quadratic():
+        a, b, c = (Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3))
+        return parse(f"{a} + ({b})*x + ({c or 1})*x^2")
+
+    f = tuple(quadratic() for _ in range(r))
+    g_head = [quadratic() for _ in range(r - 1)]
+    g_sum = const(0)
+    for e in g_head:
+        g_sum = add(g_sum, e)
+    return TheoremInstance(
+        n=n, r=r, f=f, g=tuple(g_head + [neg(g_sum)]), s=[n // r] * r, x0=Scalar.exact(3, 2),
+    )
+
+
 def test_theorem1_n80_r10_within_budget():
     with criterion("theorem1 at n = 80, r = 10 with |s| = n, degree-2 polynomials", 0.5):
-        rng = random.Random("wide:80:10:1")
-
-        def quadratic():
-            a, b, c = (Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3))
-            return parse(f"{a} + ({b})*x + ({c or 1})*x^2")
-
-        f = tuple(quadratic() for _ in range(10))
-        g_head = [quadratic() for _ in range(9)]
-        g_sum = const(0)
-        for e in g_head:
-            g_sum = add(g_sum, e)
-        inst = TheoremInstance(
-            n=80, r=10, f=f, g=tuple(g_head + [neg(g_sum)]), s=[8] * 10, x0=Scalar.exact(3, 2),
-        )
-        report = theorem1_verify(inst)
+        report = theorem1_verify(_quadratic_instance(80, 10))
         assert report.verdict == "pass"
         assert report.residual.as_ratio_text() == "0/1"
+
+
+def test_theorem1_n160_r10_within_budget():
+    with criterion("theorem1 at n = 160, r = 10 with |s| = n, degree-2 polynomials", 3.0):
+        report = theorem1_verify(_quadratic_instance(160, 10))
+        assert report.verdict == "pass"
+        assert report.residual.as_ratio_text() == "0/1"
+
+
+def test_sweep_200_trials_at_n40_r10_within_budget():
+    with criterion("sweep, seed 7, 200 trials, max_n = 40, max_r = 10, in process", 3.0):
+        summary = sweep(SweepConfig(seed=7, trials=200, max_n=40, max_r=10))
+        assert summary.counts == {"pass": 200, "fail": 0, "precondition_violated": 0}

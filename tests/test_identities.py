@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_polynomial, rel_close
+from jetcheck import identities
 from jetcheck.exprs import Apply, Const, Mul, PowInt, Var, add, const, mul, neg
 from jetcheck.identities import (
     IDENTITIES,
@@ -480,3 +483,58 @@ class TestSweep:
         for name in IDENTITIES:
             tally = summary.per_identity[name]
             assert sum(tally.values()) == 2
+
+
+class TestParamsOnRead:
+    """A verifier keeps its inputs; ``params`` is rendered on its first read."""
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        calls, to_text = [], identities.to_text
+
+        def counted(e):
+            calls.append(e)
+            return to_text(e)
+
+        monkeypatch.setattr(identities, "to_text", counted)
+        return calls
+
+    def test_rendered_once_on_first_read(self, rendered):
+        report = baran_verify(2, parse("x"), parse("x^2"), ex(3))
+        assert rendered == []
+        assert report.params == {"n": "2", "f": "x", "g": "x^2", "x0": "3"}
+        assert len(rendered) == 2
+        assert report.params is report.params
+        assert len(rendered) == 2
+
+    def test_every_verifier_renders_nothing(self, rendered):
+        assert sweep(SweepConfig(seed=3, trials=2 * len(IDENTITIES))).counts["pass"] > 0
+        assert rendered == []
+
+    def test_equality_compares_the_rendered_params(self):
+        report = baran_verify(2, parse("x"), parse("x^2"), ex(3))
+        assert report == baran_verify(2, parse("x"), parse("x^2"), ex(3))
+        assert report == replace(report, params=dict(report.params))
+        assert pickle.loads(pickle.dumps(baran_verify(2, parse("x"), parse("x^2"), ex(3)))) == report
+        other = baran_verify(2, parse("0 + x"), parse("x^2"), ex(3))
+        assert other.lhs == report.lhs and other != report
+        with pytest.raises(TypeError):
+            hash(report)
+
+    def test_params_can_be_replaced(self):
+        report = power_family_check(1, (ex(0), ex(0)), ex(2), (ex(-1), ex(1)), (1, 0))
+        extended = replace(report, params={"form": "eq5", **report.params})
+        assert list(extended.params) == ["form", "n", "r", "s", "alpha", "beta", "c"]
+        assert extended.params["s"] == "1,0" and "form" not in report.params
+
+    def test_first_failure_keeps_its_params(self, rendered):
+        config = SweepConfig(seed=42, trials=10, identities=("theorem1",), negative=True)
+        summary = sweep(config)
+        assert rendered == []
+        assert summary.first_failure.params == {
+            "n": "0", "r": "3", "s": "0,0,0",
+            "f": "0,-3/4*x + x^2 + -2/3*x^3,2/3 + 4/3*x + -1*x^2 + 2*x^3",
+            "g": "2 + -1*x,1/2 + x,-(2 + -1*x + (1/2 + x)) + 1",
+            "x0": "1/4",
+        }
+        assert summary == sweep(config)

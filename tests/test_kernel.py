@@ -7,13 +7,14 @@ agree: the reference verdict compares the reference lhs with the report's
 rhs at the report's tolerance, scaled by the reference scale.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from helpers import REFERENCES, rand_polynomial
+from helpers import REFERENCES, rand_polynomial, reference_convolve
 from jetcheck import identities
 from jetcheck.exprs import Div, Mul, X, add, const, eval_scalar, neg, pow_int, sub
 from jetcheck.identities import IDENTITIES, SweepConfig, TheoremInstance, sweep
@@ -319,9 +320,9 @@ def test_exact_fold_runs_on_integers_and_divides_twice(monkeypatch):
             built.append(args)
             return Fraction(*args)
 
-    def checked_fold(a, b):
+    def checked_fold(a, b, rows, entries):
         entries_are_ints.append(all(type(v) is int for v in (*a, *b)))
-        return fold(a, b)
+        return fold(a, b, rows, entries)
 
     def counted_convolve(tables, n, mode):
         before = len(built)
@@ -338,3 +339,65 @@ def test_exact_fold_runs_on_integers_and_divides_twice(monkeypatch):
         for args in grid(name):
             assert VERIFIERS[name](*args).verdict == "pass"
     assert len(entries_are_ints) > 50 and all(entries_are_ints)
+
+
+# The kernel itself: every fold but the last forms entries 0..n, the last only
+# entry n, so the edge cases are the table counts and denominators around it.
+
+
+def _int_tables(rng, n, dens):
+    return [([rng.randint(-9, 9) for _ in range(n + 1)], d) for d in dens]
+
+
+@pytest.mark.parametrize("n, dens", [
+    (5, (3,)),
+    (6, (2, 5)),
+    (0, (1,)),
+    (0, (2, 3, 5)),
+    (6, (1, 1, 1, 7)),
+    (4, (3, 1, 4)),
+], ids=["r=1 no fold", "r=2 first fold is last", "n=0 r=1", "n=0 r=3",
+        "only the last table has a denominator", "a middle table without one"])
+def test_entry_n_kernel_equals_the_composition_reference(n, dens):
+    rng = random.Random(f"entry-n:{n}:{dens}")
+    for _ in range(10):
+        tables = _int_tables(rng, n, dens)
+        assert identities._convolve(tables, n, "exact") == reference_convolve(tables, n)
+
+
+def _left_sum(terms):
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _full_fold(tables, n):
+    """The float lhs and scale by folding every entry of every table, each
+    entry summed left to right from 0 as C(m, j) * a[j] * b[m-j]."""
+    lhs = list(tables[0][0])
+    mag = [abs(v) for v in lhs]
+    for values, _ in tables[1:]:
+        for acc, b in ((lhs, values), (mag, [abs(v) for v in values])):
+            acc[:] = [_left_sum(math.comb(m, j) * acc[j] * b[m - j] for j in range(m + 1))
+                      for m in range(n + 1)]
+    return lhs[n], mag[n]
+
+
+def test_float_kernel_is_bit_identical_to_a_full_fold():
+    rng = random.Random("entry-n:float")
+
+    def value():
+        if rng.random() < 0.15:
+            return rng.choice((0.0, -0.0))
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12)
+
+    checked = 0
+    for n in range(9):
+        for r in range(1, 5):
+            for _ in range(5):
+                tables = [([value() for _ in range(n + 1)], 1) for _ in range(r)]
+                got = identities._convolve(tables, n, "float")
+                assert [v.hex() for v in got] == [v.hex() for v in _full_fold(tables, n)]
+                checked += 1
+    assert checked == 180

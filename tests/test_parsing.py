@@ -242,3 +242,15 @@ def test_nesting_beyond_the_bound_is_a_parse_error(text, offset):
 def test_a_left_deep_sum_is_not_nesting():
     terms = ["x"] * (2 * MAX_NESTING)
     assert to_text(parse("+".join(terms))) == " + ".join(terms)
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("(" + "+".join(["x"] * 3000) + ")^2", 6001),
+    ("x^(" + "+".join(["1"] * 3000) + ")", 1),
+], ids=["chain as base", "chain as exponent"])
+def test_a_power_of_a_long_chain_is_a_parse_error(text, offset):
+    # the checks on a power's base and exponent walk the loop-built chain;
+    # past the interpreter's depth that is a ParseError at the '^'
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.offset == offset and "shallow enough" in err.value.expected
