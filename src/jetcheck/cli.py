@@ -12,15 +12,14 @@ Subcommands:
 
 Exit codes: 0 when every requested verification passes, 1 when any verdict
 is fail or precondition_violated, 2 on usage or parse errors and on inputs
-that cannot be evaluated at all (a float overflow, a float right-hand side
-with an infinite or NaN factor, or an expression nested deeper than the
-interpreter's recursion limit), and on any other exception, which is a bug
-reported as an ``internal error``.  Every flag value given is checked, also
-for flags the chosen identity does not use.  Each exit 2 writes one
-``error:`` line to the ``stderr`` given to :func:`run`.  When standard output
-closes early (a pipe into ``head``), :func:`main` exits 141 (128 + SIGPIPE)
-and writes nothing to stderr.  Exit code 1 therefore always means a verdict,
-never a crash.
+that cannot be evaluated at all (a float overflow, such as a float
+left-hand side or right-hand side factor that is infinite or NaN), and on
+any other exception, which is a bug reported as an ``internal error``.
+Every flag value given is checked, also for flags the chosen identity does
+not use.  Each exit 2 writes one ``error:`` line to the ``stderr`` given to
+:func:`run`.  When standard output closes early (a pipe into ``head``),
+:func:`main` exits 141 (128 + SIGPIPE) and writes nothing to stderr.  Exit
+code 1 therefore always means a verdict, never a crash.
 """
 
 from __future__ import annotations
@@ -445,9 +444,6 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
     except OverflowError as err:
         # float ** reports (errno, text); the text alone is the message
         stderr.write(f"error: numeric overflow: {err.args[-1] if len(err.args) == 2 else err}\n")
-        return 2
-    except RecursionError:
-        stderr.write("error: input nested too deeply to evaluate\n")
         return 2
     except BrokenPipeError:
         raise  # a closed stdout, which main() reports by its exit code

@@ -196,11 +196,14 @@ def _check_sizes(n: int, r: int | None = None, **lists: Sequence) -> tuple:
     return (r, *lists.values())
 
 
-def _mode_for(x0: Scalar, exprs: Sequence[Expr], scalars: Sequence[Scalar] = ()) -> tuple[Scalar, str]:
-    """Evaluation point and ambient mode: float as soon as any input is."""
+def _mode_for(
+    x0: Scalar, exprs: Sequence[Expr], scalars: Sequence[Scalar | None] = (),
+) -> tuple[Scalar, str]:
+    """Evaluation point and ambient mode: float as soon as any input is, the
+    rhs shift included; a None scalar (no shift) is skipped."""
     lift = (
         not x0.is_exact
-        or any(not s.is_exact for s in scalars)
+        or any(s is not None and not s.is_exact for s in scalars)
         or any(contains_float(e) for e in exprs)
     )
     return (x0.to_float() if lift else x0), ("float" if lift else "exact")
@@ -257,14 +260,19 @@ def _finish(
 ) -> VerificationReport:
     """The report for plain lhs, rhs and scale values, which become Scalars here.
 
-    A float check whose |rhs| is within the tolerance limit would pass with
-    lhs = 0 as well; it gets a note giving both numbers, and its verdict
-    stands."""
+    A float lhs, rhs (after the shift) or scale that is not finite raises
+    OverflowError.  A float check whose |rhs| is within the tolerance limit
+    would pass with lhs = 0 as well; it gets a note giving both numbers, and
+    its verdict stands."""
     plain = Fraction if mode == "exact" else float
     lhs, rhs, scale = (Scalar(plain(v)) for v in (lhs, rhs, scale))
     if rhs_shift is not None:
         rhs = rhs + (rhs_shift.to_float() if mode == "float" else rhs_shift)
         notes = notes + (f"rhs perturbed by {rhs_shift.as_text()}",)
+    if mode == "float":
+        for name, side in (("lhs", lhs), ("rhs", rhs), ("cancellation scale", scale)):
+            if not math.isfinite(side.value):
+                raise OverflowError(f"the {name} is {side.value!r}, not a finite number")
     if mode == "float" and rhs.value != 0:
         limit = tol * max(1.0, scale.value)
         if limit >= abs(rhs.value):
@@ -399,7 +407,7 @@ def theorem1_verify(
     """
     n, r, s = inst.n, inst.r, inst.s
     params = _params(n=n, r=r, s=s, f=inst.f, g=inst.g, x0=inst.x0)
-    x0, mode = _mode_for(inst.x0, inst.f + inst.g)
+    x0, mode = _mode_for(inst.x0, inst.f + inst.g, (rhs_shift,))
     f = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(inst.f, s)]
     g = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(inst.g, s)]
 
@@ -425,7 +433,7 @@ def _corollary2_core(
     tol: float,
     rhs_shift: Scalar | None,
 ) -> VerificationReport:
-    x0, mode = _mode_for(x0, tuple(f) + (g,), tuple(c))
+    x0, mode = _mode_for(x0, tuple(f) + (g,), (*c, rhs_shift))
     c = _plain(c, mode)
     note = _hypothesis_note("sum of c", c, mode)
     if note is not None:
@@ -500,7 +508,7 @@ def baran_verify(
     """
     _check_sizes(n)
     params = _params(n=n, f=f, g=g, x0=x0)
-    x0, mode = _mode_for(x0, (f, g))
+    x0, mode = _mode_for(x0, (f, g), (rhs_shift,))
     f, g = (eval_jet(e, x0, n, mode=mode).cleared() for e in (f, g))
     # The 1/n! cancels the n! of the n-th derivative, leaving [t^n](f g^j).
     # G_0^k / d_g^k times [t^n](F G^(n-k)) / (d_f d_g^(n-k)) is over d_f d_g^n for every k.
@@ -530,7 +538,7 @@ def leibniz_product_verify(
     """
     _check_sizes(n)
     params = _params(n=n, f=f, g=g, x0=x0)
-    x0, mode = _mode_for(x0, (f, g))
+    x0, mode = _mode_for(x0, (f, g), (rhs_shift,))
     (cf, df), (cg, dg) = (eval_jet(e, x0, n, mode=mode).cleared() for e in (f, g))
     # x = (p + q t) / q; the outer factor x0 goes into the first table, so
     # each term is over q^(n+1) d_f d_g, and so is [t^n] x^(n+1) f g.
@@ -575,7 +583,7 @@ def _family_check(
     c_i^(s_i) for :func:`_product`; ``extra_params`` end the report's params."""
     r, alpha, c, s = _check_sizes(n, r, alpha=alpha, c=c, s=s)
     params = _params(n=n, r=r, s=s, alpha=alpha, beta=beta, c=c, **extra_params)
-    beta, mode = _mode_for(beta, (), alpha + c)
+    beta, mode = _mode_for(beta, (), (*alpha, *c, rhs_shift))
     alpha, beta, c = _plain(alpha, mode), beta.value, _plain(c, mode)
     note = _hypothesis_note("sum of c", c, mode)
     if note is None and s.weight != n:
@@ -682,7 +690,7 @@ def zero_power_lemma_check(
     """
     _check_sizes(n)
     params = _params(f=f, n=n, x0=x0)
-    x0, mode = _mode_for(x0, (f,))
+    x0, mode = _mode_for(x0, (f,), (rhs_shift,))
     f = eval_jet(f, x0, n, mode=mode).cleared()
     note = _hypothesis_note("f(x0)", [_at(f, 0, mode)], mode)
     if note is not None:

@@ -23,9 +23,10 @@ Notes on the lexical level:
 * The only variable is ``x``; any other identifier is a parse error.
 * An exponent times the exponents of the integer powers nested in its base
   is bounded by ``MAX_EXPONENT`` in magnitude, exact constant powers by
-  ``MAX_CONSTANT_BITS`` bits, and the nesting depth by ``MAX_NESTING``.  A
-  loop-built chain (``x+x+...``) too deep for the checks of a power to walk
-  makes that power a parse error at its ``^``.
+  ``MAX_CONSTANT_BITS`` bits, and the nesting depth by ``MAX_NESTING``.
+* The tree is at most ``MAX_HEIGHT`` nodes high, chains such as ``x+x+...``
+  included, so the recursive walks of a parsed tree fit in the interpreter's
+  stack; a higher node is a parse error at the token that would build it.
 * An integer longer than the interpreter's int-to-str digit limit and a
   decimal beyond the float range are parse errors.  :func:`parse_number`
   reads one signed NUMBER with the same lexer, for command-line values.
@@ -59,6 +60,7 @@ from .numeric import Scalar
 MAX_EXPONENT = 10_000
 MAX_CONSTANT_BITS = 100_000
 MAX_NESTING = 100
+MAX_HEIGHT = 200
 
 
 class ParseError(ValueError):
@@ -166,8 +168,11 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # groups, function arguments, signs and exponents now open
-        # id of each PowInt built -> the largest exponent product on a path down from it
-        self.nesting: dict[int, int] = {}
+        # id of each node built above the leaves (each (1, 1), never looked up)
+        # -> its height and the largest product of integer-power exponent
+        # magnitudes on a path down from it, at least 1; written as the node is
+        # built, so an id that a freed exponent left behind is never read stale.
+        self.records: dict[int, tuple[int, int]] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -202,7 +207,7 @@ class _Parser:
             if tok is None:
                 return node
             right = self.term()
-            node = Add(node, right) if tok.text == "+" else Sub(node, right)
+            node = self._record(tok, (Add if tok.text == "+" else Sub)(node, right), node, right)
 
     def term(self) -> Expr:
         node = self.unary()
@@ -211,7 +216,7 @@ class _Parser:
             if tok is None:
                 return node
             right = self.unary()
-            node = Mul(node, right) if tok.text == "*" else Div(node, right)
+            node = self._record(tok, (Mul if tok.text == "*" else Div)(node, right), node, right)
 
     def _nested(self, tok: _Token, parse) -> Expr:
         """``parse()`` one level deeper, the level ``tok`` opens; at most MAX_NESTING."""
@@ -222,9 +227,29 @@ class _Parser:
         self.depth -= 1
         return node
 
+    def _record(self, tok: _Token, node: Expr, *children: Expr, product: int | None = None) -> Expr:
+        """``node``, which ``tok`` builds over ``children``, recorded: one level
+        higher than the highest of them and at most MAX_HEIGHT, with a power's
+        own exponent ``product`` or else the largest of theirs."""
+        height, most = 1, 1
+        for child in children:
+            if not isinstance(child, (Const, Var)):
+                h, p = self.records[id(child)]
+                if h > height:
+                    height = h
+                if p > most:
+                    most = p
+        if height == MAX_HEIGHT:
+            raise ParseError(tok.offset, f"a tree at most {MAX_HEIGHT} levels high", "one more")
+        self.records[id(node)] = (height + 1, most if product is None else product)
+        return node
+
     def unary(self) -> Expr:
         tok = self.match_op("-")
-        return self.power() if tok is None else Neg(self._nested(tok, self.unary))
+        if tok is None:
+            return self.power()
+        arg = self._nested(tok, self.unary)
+        return self._record(tok, Neg(arg), arg)
 
     def power(self) -> Expr:
         base = self.atom()
@@ -233,43 +258,20 @@ class _Parser:
             return base
         exp_tok = self.peek()
         exponent = self._nested(tok, self.unary)
-        try:
-            value = constant_value(exponent)
-            if value is None:
-                raise ParseError(exp_tok.offset, "a constant exponent",
-                                 "a non-constant expression")
-            if not (value.is_exact and value.value.denominator == 1):
-                return PowReal(base, value)
-            k, folded = int(value.value), None if contains_float(base) else constant_value(base)
-            nested = abs(k) * self._nesting(base)
-        except RecursionError:
-            # A long loop-built chain (x+x+...) as the base or the exponent is
-            # deeper than these walks can go.  The handler costs nothing until
-            # it runs.
-            raise ParseError(tok.offset, "a base and an exponent shallow enough to check",
-                             "a deeper one") from None
+        value = constant_value(exponent)
+        if value is None:
+            raise ParseError(exp_tok.offset, "a constant exponent", "a non-constant expression")
+        if not (value.is_exact and value.value.denominator == 1):
+            return self._record(tok, PowReal(base, value), base)
+        k, folded = int(value.value), None if contains_float(base) else constant_value(base)
+        nested = abs(k) * (1 if isinstance(base, (Const, Var)) else self.records[id(base)][1])
         q = 1 if folded is None else folded.value
         bits = abs(k) * max(abs(q.numerator).bit_length(), q.denominator.bit_length())
         if nested > MAX_EXPONENT or bits > MAX_CONSTANT_BITS:
             raise ParseError(exp_tok.offset, "exponents whose product over nested powers is at most "
                              f"{MAX_EXPONENT} in magnitude and a power of at most "
                              f"{MAX_CONSTANT_BITS} bits", "a larger one")
-        node = PowInt(base, k)
-        self.nesting[id(node)] = max(1, nested)
-        return node
-
-    def _nesting(self, e: Expr) -> int:
-        """The largest product of integer-power exponent magnitudes on a path
-        down ``e``, at least 1."""
-        if isinstance(e, PowInt):
-            return self.nesting[id(e)]
-        if isinstance(e, (Add, Sub, Mul, Div)):
-            return max(self._nesting(e.left), self._nesting(e.right))
-        if isinstance(e, (Neg, Apply)):
-            return self._nesting(e.arg)
-        if isinstance(e, PowReal):
-            return self._nesting(e.base)
-        return 1
+        return self._record(tok, PowInt(base, k), base, product=max(1, nested))
 
     def atom(self) -> Expr:
         tok = self.peek()
@@ -285,7 +287,7 @@ class _Parser:
                 self.expect_op("(", f"after '{tok.text}'")
                 inner = self._nested(tok, self.expr)
                 self.expect_op(")", "to close the function argument")
-                return Apply(tok.text, inner)
+                return self._record(tok, Apply(tok.text, inner), inner)
             raise ParseError(tok.offset, "'x' or a function name", f"'{tok.text}'")
         if tok.kind == "op" and tok.text == "(":
             self.advance()

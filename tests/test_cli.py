@@ -87,6 +87,15 @@ def test_precondition_exits_1_with_null_sides():
     assert doc["lhs"] is None and doc["rhs"] is None and doc["residual"] is None
 
 
+def test_decimal_perturb_rhs_switches_exact_inputs_to_float_mode():
+    code, doc = invoke_json(
+        "verify", "baran", "--n", "2", "--f", "x", "--g", "x^2", "--at", "3",
+        "--perturb-rhs", "0.5", "--json",
+    )
+    assert code == 1 and doc["mode"] == "float" and doc["residual"] == "-0.5"
+    assert "float mode forced by a decimal literal in the inputs" in doc["notes"]
+
+
 def test_perturbed_rhs_fails_with_exit_1():
     code, doc = invoke_json(
         "verify", "baran", "--n", "2", "--f", "x", "--g", "x^2", "--at", "3",
@@ -211,9 +220,14 @@ def test_non_finite_float_rhs_factor_exits_2(f):
 @pytest.mark.parametrize("argv", [
     ("verify", "baran", "--n", "1", "--f", "x", "--g", "exp(705*x)", "--at", "1.0"),
     ("lemma", "--f", "exp(700*x)-exp(700.0)", "--n", "3", "--at", "1.0"),
+    ("verify", "baran", "--n", "2", "--f", "exp(x)", "--g", "x", "--at", "709.0"),
+    ("verify", "baran", "--n", "1", "--f", "1" + "0" * 308 + ".0", "--g", "x", "--at", "1",
+     "--perturb-rhs", "1" + "0" * 308 + ".0"),
 ])
 def test_non_finite_factor_is_a_numeric_overflow_naming_the_value(argv):
-    # g(x0) = exp(705) is inf; the lemma's f' = 700 exp(700) is inf, so f^n holds nan
+    # g(x0) = exp(705) is inf; the lemma's f' = 700 exp(700) is inf, so f^n holds nan;
+    # baran's terms exp(709)^2 overflow, so its lhs is inf - inf = nan; and
+    # 1e308 shifted by 1e308 is an inf rhs
     code, out, err = invoke(*argv)
     assert code == 2 and out == ""
     assert err.count("error: numeric overflow:") == 1 and err.count("\n") == 1

@@ -388,6 +388,26 @@ class TestZeroPowerLemma:
         assert rep.verdict == "fail"
 
 
+@pytest.mark.parametrize("check", [
+    lambda **kw: theorem1_verify(spot_instance(), **kw),
+    lambda **kw: corollary2_verify(2, [parse("x"), parse("1"), parse("1")], parse("x^2"),
+                                   [ex(1), ex(1), ex(-2)], (1, 1, 0), ex(1), **kw),
+    lambda **kw: symmetric_pair_verify(2, 0, parse("1"), parse("x"), parse("x^2"), ex(3), **kw),
+    lambda **kw: baran_verify(2, parse("x"), parse("x^2"), ex(3), **kw),
+    lambda **kw: leibniz_product_verify(3, parse("x^2+1"), parse("1/(2-x)"), ex(1, 3), **kw),
+    lambda **kw: power_family_check(1, (ex(0), ex(0)), ex(2), (ex(-1), ex(1)), (1, 0), **kw),
+    lambda **kw: exp_family_check(2, (ex(0), ex(0)), ex(1), (ex(-1), ex(1)), (2, 0), **kw),
+    lambda **kw: zero_power_lemma_check(parse("x^2-1"), 2, ex(1), **kw),
+], ids=["theorem1", "corollary2", "symmetric_pair", "baran", "leibniz_product",
+        "power_family", "exp_family", "zero_power_lemma"])
+def test_a_float_rhs_shift_on_exact_inputs_gives_a_float_report(check):
+    # the shift is an input like any other: a float one switches the check to float mode
+    assert check().mode == "exact" and check().verdict == "pass"
+    rep = check(rhs_shift=Scalar.inexact(0.5))
+    assert rep.mode == "float" and rep.verdict == "fail"
+    assert abs(float(rep.residual) + 0.5) < 1e-9
+
+
 def test_polynomial_in_k_reduction():
     # the engine's sums must satisfy the finite-difference facts the
     # two-term special cases rest on

@@ -92,6 +92,19 @@ OTHERS = [
     ["sweep", "--seed", "3", "--trials", "400", "--max-n", "5", "--coeff-bound", "5",
      "--degree-bound", "4", "--json"],
     ["sweep", "--seed", "5", "--trials", "100", "--negative"],
+    # one exit 2 for each parse bound: groups, tree height, the exponent
+    # product over nested powers, the bits of a constant power, digits
+    ["lemma", "--f", "(" * 101 + "x" + ")" * 101, "--n", "1", "--at", "0"],
+    ["verify", "baran", "--n", "1", "--f", "+".join(["x"] * 201), "--g", "x", "--at", "1"],
+    ["lemma", "--f", "((x+1)^1000)^1000", "--n", "1", "--at", "-1"],
+    ["lemma", "--f", "x-999999^10000", "--n", "1", "--at", "1"],
+    ["lemma", "--f", "x-" + "7" * 5000, "--n", "1", "--at", "1"],
+    # a chain at the height bound verifies
+    ["verify", "baran", "--n", "1", "--f", "+".join(["x"] * 200), "--g", "x", "--at", "1"],
+    # a decimal rhs shift switches exact inputs to float mode; an overflowing
+    # float lhs is a numeric overflow, not a verdict
+    ["verify", "baran", "--n", "2", "--f", "x", "--g", "x^2", "--at", "3", "--perturb-rhs", "0.5"],
+    ["verify", "baran", "--n", "2", "--f", "exp(x)", "--g", "x", "--at", "709.0"],
 ]
 
 CORPUS = README_EXAMPLES + [

@@ -21,7 +21,7 @@ from jetcheck.exprs import (
     to_text,
 )
 from jetcheck.numeric import Scalar
-from jetcheck.parsing import MAX_NESTING, ParseError, parse, parse_number
+from jetcheck.parsing import MAX_HEIGHT, MAX_NESTING, ParseError, parse, parse_number
 
 
 def C(p, q=1):
@@ -245,12 +245,12 @@ def test_a_left_deep_sum_is_not_nesting():
 
 
 @pytest.mark.parametrize("text, offset", [
-    ("(" + "+".join(["x"] * 3000) + ")^2", 6001),
-    ("x^(" + "+".join(["1"] * 3000) + ")", 1),
+    ("(" + "+".join(["x"] * 3000) + ")^2", 2 * MAX_HEIGHT),
+    ("x^(" + "+".join(["1"] * 3000) + ")", 2 * MAX_HEIGHT + 2),
 ], ids=["chain as base", "chain as exponent"])
 def test_a_power_of_a_long_chain_is_a_parse_error(text, offset):
-    # the checks on a power's base and exponent walk the loop-built chain;
-    # past the interpreter's depth that is a ParseError at the '^'
+    # the loop-built chain itself is too high: the error is at its '+' that
+    # would build level MAX_HEIGHT + 1, before the power is reached
     with pytest.raises(ParseError) as err:
         parse(text)
-    assert err.value.offset == offset and "shallow enough" in err.value.expected
+    assert err.value.offset == offset and f"at most {MAX_HEIGHT} levels high" in err.value.expected
