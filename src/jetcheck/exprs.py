@@ -15,8 +15,12 @@ consumers share the representation:
 
 A single decimal constant anywhere in a tree marks the whole evaluation as
 float mode; otherwise evaluation inherits the mode of the evaluation point.
-Exact mode refuses transcendental nodes with a ModeError rather than
-returning a rounded value.
+:func:`_mode_for` is the one statement of that rule, for every walk and every
+verifier.  Exact mode refuses transcendental nodes with a ModeError rather
+than returning a rounded value.  Constant folding (:func:`constant_value`,
+which the parser and the constructors of :func:`diff` use) is the evaluator
+run without a point, so a constant folds to the value the same text
+evaluates to anywhere else.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .jets import ELEMENTARY_FUNCTIONS, Jet
 from .numeric import DomainError, ModeError, Scalar
@@ -104,14 +108,6 @@ def _is_exact_value(e: Expr, v: int) -> bool:
     return isinstance(e, Const) and e.value.is_exact and e.value == v
 
 
-def _fold2(op, a: Scalar, b: Scalar) -> Scalar:
-    """Fold two constants; a mixed pair is folded in float, matching the
-    float-mode contagion rule for evaluation."""
-    if a.is_exact != b.is_exact:
-        a, b = a.to_float(), b.to_float()
-    return op(a, b)
-
-
 # Smart constructors used by diff().  They perform exactly the advertised
 # light simplification; the parser builds raw nodes instead so parse trees
 # mirror the input.
@@ -126,7 +122,7 @@ def neg(e: Expr) -> Expr:
 
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(_fold2(lambda x, y: x + y, a.value, b.value))
+        return Const(constant_value(Add(a, b)))
     if _is_exact_value(a, 0):
         return b
     if _is_exact_value(b, 0):
@@ -136,7 +132,7 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(_fold2(lambda x, y: x - y, a.value, b.value))
+        return Const(constant_value(Sub(a, b)))
     if _is_exact_value(b, 0):
         return a
     if _is_exact_value(a, 0):
@@ -149,19 +145,21 @@ def mul(a: Expr, b: Expr) -> Expr:
         a, b = b, a
     if isinstance(a, Const):
         if isinstance(b, Const):
-            return Const(_fold2(lambda x, y: x * y, a.value, b.value))
+            return Const(constant_value(Mul(a, b)))
         if a.value.is_exact and a.value == 0:
             return a
         if a.value.is_exact and a.value == 1:
             return b
         if isinstance(b, Mul) and isinstance(b.left, Const):
-            return mul(Const(_fold2(lambda x, y: x * y, a.value, b.left.value)), b.right)
+            return mul(mul(a, b.left), b.right)
     return Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-        return Const(_fold2(lambda x, y: x / y, a.value, b.value))
+    if isinstance(a, Const) and isinstance(b, Const):
+        folded = constant_value(Div(a, b))  # None for a zero divisor
+        if folded is not None:
+            return Const(folded)
     if _is_exact_value(b, 1):
         return a
     if _is_exact_value(a, 0):
@@ -269,115 +267,112 @@ def contains_float(e: Expr) -> bool:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+class _NoPoint(Exception):
+    """Evaluation without a point met x, a function or a real power."""
+
+
+def _mode_for(
+    x0: Scalar, exprs: Sequence[Expr], scalars: Sequence[Scalar | None] = (),
+) -> tuple[Scalar, str]:
+    """Evaluation point and ambient mode: float as soon as any input is, a
+    decimal literal in a tree or an rhs shift included; a None scalar (no
+    shift) is skipped."""
+    lift = (
+        not x0.is_exact
+        or any(s is not None and not s.is_exact for s in scalars)
+        or any(contains_float(e) for e in exprs)
+    )
+    return (x0.to_float() if lift else x0), ("float" if lift else "exact")
+
+
 def constant_value(e: Expr) -> Scalar | None:
-    """The value of a constants-only subtree, or None if it involves x or a
-    node that cannot be folded without an evaluation point."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Neg):
-        v = constant_value(e.arg)
-        return None if v is None else -v
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        a = constant_value(e.left)
-        b = constant_value(e.right)
-        if a is None or b is None:
-            return None
-        if isinstance(e, Add):
-            return _fold2(lambda x, y: x + y, a, b)
-        if isinstance(e, Sub):
-            return _fold2(lambda x, y: x - y, a, b)
-        if isinstance(e, Mul):
-            return _fold2(lambda x, y: x * y, a, b)
-        if b == 0:
-            return None
-        return _fold2(lambda x, y: x / y, a, b)
-    if isinstance(e, PowInt):
-        v = constant_value(e.base)
-        if v is None or (e.exponent < 0 and v == 0):
-            return None
-        return v ** e.exponent
-    return None
+    """The value of a subtree without x: :func:`eval_scalar` run without a
+    point, so in the same mode and to the same digits; None where x, a
+    function or a real power appears, or where the value is undefined
+    (division by zero, zero to a negative power)."""
+    try:
+        return _eval(e, None, contains_float(e), {})
+    except (_NoPoint, DomainError):
+        return None
 
 
-def _eval(e: Expr, x0: Scalar, lift: bool, memo: dict[int, Scalar]) -> Scalar:
+def _eval(e: Expr, x0: Scalar | None, lift: bool, memo: dict[int, Scalar]) -> Scalar:
+    """The value of ``e`` at x0, in float when ``lift`` is set, memoized on
+    node identity; one frame per tree level."""
     hit = memo.get(id(e))
     if hit is not None:
         return hit
-    out = _eval_node(e, x0, lift, memo)
+    if isinstance(e, Const):
+        out = e.value.to_float() if lift else e.value
+    elif x0 is None and isinstance(e, (Var, PowReal, Apply)):
+        raise _NoPoint
+    elif isinstance(e, Var):
+        out = x0
+    elif isinstance(e, Neg):
+        out = -_eval(e.arg, x0, lift, memo)
+    elif isinstance(e, Add):
+        out = _eval(e.left, x0, lift, memo) + _eval(e.right, x0, lift, memo)
+    elif isinstance(e, Sub):
+        out = _eval(e.left, x0, lift, memo) - _eval(e.right, x0, lift, memo)
+    elif isinstance(e, Mul):
+        out = _eval(e.left, x0, lift, memo) * _eval(e.right, x0, lift, memo)
+    elif isinstance(e, Div):
+        den = _eval(e.right, x0, lift, memo)
+        if den == 0:
+            raise DomainError(f"division by zero in '{to_text(e)}'")
+        out = _eval(e.left, x0, lift, memo) / den
+    elif isinstance(e, PowInt):
+        base = _eval(e.base, x0, lift, memo)
+        if e.exponent < 0 and base == 0:
+            raise DomainError(f"zero base with negative exponent in '{to_text(e)}'")
+        out = base ** e.exponent
+    elif isinstance(e, PowReal):
+        out = _real_power(e, _eval(e.base, x0, lift, memo))
+    elif isinstance(e, Apply):
+        out = _applied(e, _eval(e.arg, x0, lift, memo))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
     memo[id(e)] = out
     return out
 
 
-def _eval_node(e: Expr, x0: Scalar, lift: bool, memo: dict[int, Scalar]) -> Scalar:
-    if isinstance(e, Const):
-        return e.value.to_float() if lift else e.value
-    if isinstance(e, Var):
-        return x0
-    if isinstance(e, Neg):
-        return -_eval(e.arg, x0, lift, memo)
-    if isinstance(e, Add):
-        return _eval(e.left, x0, lift, memo) + _eval(e.right, x0, lift, memo)
-    if isinstance(e, Sub):
-        return _eval(e.left, x0, lift, memo) - _eval(e.right, x0, lift, memo)
-    if isinstance(e, Mul):
-        return _eval(e.left, x0, lift, memo) * _eval(e.right, x0, lift, memo)
-    if isinstance(e, Div):
-        den = _eval(e.right, x0, lift, memo)
-        if den == 0:
-            raise DomainError(f"division by zero in '{to_text(e)}'")
-        return _eval(e.left, x0, lift, memo) / den
-    if isinstance(e, PowInt):
-        base = _eval(e.base, x0, lift, memo)
-        if e.exponent < 0 and base == 0:
+def _real_power(e: PowReal, base: Scalar) -> Scalar:
+    """The value of ``e`` where its base has the value ``base``."""
+    alpha = e.exponent
+    m: int | None = None
+    if alpha.is_exact and alpha.value.denominator == 1:
+        m = int(alpha.value)
+    elif not alpha.is_exact and float(alpha).is_integer():
+        m = int(float(alpha))
+    if m is not None:
+        if m < 0 and base == 0:
             raise DomainError(f"zero base with negative exponent in '{to_text(e)}'")
-        return base ** e.exponent
-    if isinstance(e, PowReal):
-        alpha = e.exponent
-        m: int | None = None
-        if alpha.is_exact and alpha.value.denominator == 1:
-            m = int(alpha.value)
-        elif not alpha.is_exact and float(alpha).is_integer():
-            m = int(float(alpha))
-        base = _eval(e.base, x0, lift, memo)
-        if m is not None:
-            if m < 0 and base == 0:
-                raise DomainError(f"zero base with negative exponent in '{to_text(e)}'")
-            return base ** m
-        if base.is_exact:
-            raise ModeError(f"non-integer power in '{to_text(e)}' requires float mode")
-        if not base > 0:
-            raise DomainError(f"non-positive base for real power in '{to_text(e)}'")
-        return Scalar.inexact(math.pow(float(base), float(alpha)))
-    if isinstance(e, Apply):
-        arg = _eval(e.arg, x0, lift, memo)
-        if arg.is_exact:
-            raise ModeError(f"'{e.fn}' in '{to_text(e)}' requires float mode")
-        v = float(arg)
-        if e.fn == "exp":
-            try:
-                return Scalar.inexact(math.exp(v))
-            except OverflowError:
-                raise DomainError(f"exp overflow in '{to_text(e)}'") from None
-        if e.fn == "log":
-            if not v > 0:
-                raise DomainError(f"non-positive argument to log in '{to_text(e)}'")
-            return Scalar.inexact(math.log(v))
-        if e.fn == "sin":
-            return Scalar.inexact(math.sin(v))
-        if e.fn == "cos":
-            return Scalar.inexact(math.cos(v))
-        if e.fn == "sqrt":
-            if not v > 0:
-                raise DomainError(f"non-positive argument to sqrt in '{to_text(e)}'")
-            return Scalar.inexact(math.sqrt(v))
-    raise TypeError(f"not an expression node: {e!r}")
+        return base ** m
+    if base.is_exact:
+        raise ModeError(f"non-integer power in '{to_text(e)}' requires float mode")
+    if not base > 0:
+        raise DomainError(f"non-positive base for real power in '{to_text(e)}'")
+    return Scalar.inexact(math.pow(float(base), float(alpha)))
+
+
+def _applied(e: Apply, arg: Scalar) -> Scalar:
+    """The value of ``e`` where its argument has the value ``arg``."""
+    if arg.is_exact:
+        raise ModeError(f"'{e.fn}' in '{to_text(e)}' requires float mode")
+    v = float(arg)
+    if e.fn in ("log", "sqrt") and not v > 0:
+        raise DomainError(f"non-positive argument to {e.fn} in '{to_text(e)}'")
+    try:
+        return Scalar.inexact(getattr(math, e.fn)(v))
+    except OverflowError:  # only exp overflows
+        raise DomainError(f"exp overflow in '{to_text(e)}'") from None
 
 
 def eval_scalar(e: Expr, x0: Scalar) -> Scalar:
     """Evaluate at x0.  Exact when the tree and the point are exact; any
     decimal literal in the tree forces float mode for the whole evaluation."""
-    lift = not x0.is_exact or contains_float(e)
-    return _eval(e, x0.to_float() if lift else x0, lift, {})
+    x0, mode = _mode_for(x0, (e,))
+    return _eval(e, x0, mode == "float", {})
 
 
 def _named(node: Expr, op, *operands) -> Jet:
@@ -395,8 +390,9 @@ def eval_jet(e: Expr, x0: Scalar, order: int, *, mode: str | None = None) -> Jet
     caller passes the ``mode`` it has already chosen for the tree and x0
     ("exact" only for an exact x0 and a tree without float literals), which
     saves walking the tree for them."""
-    lift = mode == "float" if mode is not None else not x0.is_exact or contains_float(e)
-    return _jet(e, Jet.variable(x0.to_float() if lift else x0, order))
+    if mode is None:
+        x0, mode = _mode_for(x0, (e,))
+    return _jet(e, Jet.variable(x0.to_float() if mode == "float" else x0, order))
 
 
 def _jet(node: Expr, seed: Jet) -> Jet:

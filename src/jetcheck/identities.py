@@ -75,9 +75,9 @@ from typing import Callable, Iterable, Sequence
 
 from .exprs import (
     Expr,
+    _mode_for,
     add,
     const,
-    contains_float,
     eval_jet,
     eval_scalar,
     mul,
@@ -194,19 +194,6 @@ def _check_sizes(n: int, r: int | None = None, **lists: Sequence) -> tuple:
     if weight > n:
         raise ValueError(f"|s| = {weight} exceeds n = {n}; the identity asserts nothing there")
     return (r, *lists.values())
-
-
-def _mode_for(
-    x0: Scalar, exprs: Sequence[Expr], scalars: Sequence[Scalar | None] = (),
-) -> tuple[Scalar, str]:
-    """Evaluation point and ambient mode: float as soon as any input is, the
-    rhs shift included; a None scalar (no shift) is skipped."""
-    lift = (
-        not x0.is_exact
-        or any(s is not None and not s.is_exact for s in scalars)
-        or any(contains_float(e) for e in exprs)
-    )
-    return (x0.to_float() if lift else x0), ("float" if lift else "exact")
 
 
 def _plain(scalars: Sequence[Scalar], mode: str) -> list:

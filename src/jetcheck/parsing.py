@@ -52,7 +52,6 @@ from .exprs import (
     Add,
     Var,
     constant_value,
-    contains_float,
 )
 from .jets import ELEMENTARY_FUNCTIONS
 from .numeric import Scalar
@@ -263,9 +262,13 @@ class _Parser:
             raise ParseError(exp_tok.offset, "a constant exponent", "a non-constant expression")
         if not (value.is_exact and value.value.denominator == 1):
             return self._record(tok, PowReal(base, value), base)
-        k, folded = int(value.value), None if contains_float(base) else constant_value(base)
+        k = int(value.value)
+        try:
+            folded = constant_value(base)
+        except OverflowError:  # a float power beyond the float range, not an exact one
+            folded = None
         nested = abs(k) * (1 if isinstance(base, (Const, Var)) else self.records[id(base)][1])
-        q = 1 if folded is None else folded.value
+        q = folded.value if folded is not None and folded.is_exact else 1
         bits = abs(k) * max(abs(q.numerator).bit_length(), q.denominator.bit_length())
         if nested > MAX_EXPONENT or bits > MAX_CONSTANT_BITS:
             raise ParseError(exp_tok.offset, "exponents whose product over nested powers is at most "

@@ -14,11 +14,16 @@ from helpers import (
     rel_close,
 )
 from jetcheck.exprs import (
+    Add,
     Apply,
     Const,
+    Div,
     Mul,
+    Neg,
     PowInt,
+    Sub,
     Var,
+    constant_value,
     contains_float,
     diff,
     eval_jet,
@@ -92,6 +97,37 @@ def test_predicates():
     assert not contains_float(parse("x^2 + 1/4"))
 
 
+# x-free trees of exact and decimal literals in tenths, whose sums round
+# differently in float and in exact; a decimal anywhere makes the whole tree
+# float, however deep below an exact subtree it sits
+LITERALS = st.integers(-30, 30).flatmap(lambda k: st.sampled_from(
+    [Const(Scalar.exact(k, 10)), Const(Scalar.inexact(k / 10))]))
+CONSTANT_TREES = st.recursive(LITERALS, lambda sub: st.one_of(
+    st.builds(Neg, sub),
+    st.builds(PowInt, sub, st.integers(-3, 3)),
+    *(st.builds(node, sub, sub) for node in (Add, Sub, Mul, Div)),
+), max_leaves=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(CONSTANT_TREES)
+def test_constant_folding_agrees_with_evaluation(e):
+    try:
+        value = eval_scalar(e, Scalar.exact(0))
+    except DomainError:
+        assert constant_value(e) is None
+        return
+    except OverflowError:
+        return
+    assert constant_value(e) == value, to_text(e)
+
+
+def test_a_mixed_exponent_folds_as_it_evaluates():
+    value = Scalar.inexact(0.9000000000000001)
+    assert eval_scalar(parse("(1/10+2/10)*3.0"), Scalar.exact(0)) == value
+    assert parse("x^((1/10+2/10)*3.0)").exponent == value
+
+
 def test_to_text_spot():
     assert to_text(parse("x^2 - 3/4*x")) == "x^2 - 3/4*x"
     assert to_text(parse("exp(2*x)")) == "exp(2*x)"
@@ -107,8 +143,6 @@ def test_diff_is_linear(a, b, x):
     e1 = parse("x^3 - x")
     e2 = parse("(x^2+1)*x")
     combined = Mul(C(a.numerator, a.denominator), e1), Mul(C(b.numerator, b.denominator), e2)
-    from jetcheck.exprs import Add
-
     lhs = eval_scalar(diff(Add(*combined)), Scalar(x))
     rhs = (
         Scalar(a) * eval_scalar(diff(e1), Scalar(x))

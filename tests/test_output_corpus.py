@@ -105,6 +105,10 @@ OTHERS = [
     # float lhs is a numeric overflow, not a verdict
     ["verify", "baran", "--n", "2", "--f", "x", "--g", "x^2", "--at", "3", "--perturb-rhs", "0.5"],
     ["verify", "baran", "--n", "2", "--f", "exp(x)", "--g", "x", "--at", "709.0"],
+    # a constant exponent that mixes exact and decimal literals folds as it evaluates
+    ["verify", "baran", "--n", "1", "--f", "x^((1/10+2/10)*3.0)", "--g", "x", "--at", "2"],
+    ["verify", "baran", "--n", "1", "--f", "x^((1/10+2/10)*3.0)", "--g", "x", "--at", "2",
+     "--json"],
 ]
 
 CORPUS = README_EXAMPLES + [

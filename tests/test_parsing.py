@@ -221,6 +221,13 @@ def test_nested_integer_powers_within_the_bound_parse(text):
     parse(text)
 
 
+def test_a_power_of_a_float_beyond_the_float_range_parses():
+    # the bits bound folds a base only to measure an exact power; a float one
+    # too large to fold is left to evaluation, which reports the overflow
+    base = PowInt(Const(Scalar.inexact(10.0)), 400)
+    assert parse("(10.0^400)^2") == PowInt(base, 2)
+
+
 @pytest.mark.parametrize("text, offset", [
     ("(" * 3000 + "x" + ")" * 3000, MAX_NESTING),
     ("-" * 5000 + "x", MAX_NESTING),

@@ -2,7 +2,8 @@
 
 Every walk of the library, the printer, the evaluators and the CLI over a
 tree of exactly that height ends without ``RecursionError``, and so do the
-dataclass methods and ``copy.deepcopy``; one level more is a ``ParseError``
+dataclass methods and ``copy.deepcopy``, and so does the first derivative
+of the sum, product and quotient chains; one level more is a ``ParseError``
 at the token that would build the higher node, raised at once.
 
 The module needs no pytest: ``python tests/test_tree_height.py`` runs the
@@ -17,7 +18,7 @@ import io
 import time
 
 from jetcheck.cli import run
-from jetcheck.exprs import contains_float, diff, eval_jet, eval_scalar, to_text
+from jetcheck.exprs import contains_float, diff, eval_jet, eval_scalar, nth_derivative, to_text
 from jetcheck.numeric import Scalar
 from jetcheck.parsing import MAX_HEIGHT, MAX_NESTING, ParseError, parse
 
@@ -84,6 +85,14 @@ def check_one_level_more(text: str, offset: int) -> None:
 def test_trees_at_the_bound_pass_every_walk():
     for text, at, _, _ in CASES.values():
         check_at_the_bound(text, at)
+
+
+def test_first_derivatives_of_the_chains_at_the_bound():
+    # diff nests a quotient's derivative three levels per level of the chain,
+    # 597 in all, which the one-frame-per-level oracle still evaluates
+    for name, expected in (("sum", 200), ("product", 200), ("quotient", -198)):
+        text, at, _, _ = CASES[name]
+        assert nth_derivative(parse(text), 1, Scalar(int(at))) == expected
 
 
 def test_one_level_more_is_a_parse_error_at_its_token():
