@@ -290,12 +290,9 @@ def build_parser() -> _Parser:
     le.set_defaults(handler=_handle_lemma)
 
     sw = sub.add_parser("sweep", help="seeded randomized fuzzing")
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--trials", type=int, default=10)
-    sw.add_argument("--max-n", dest="max_n", type=int, default=4)
-    sw.add_argument("--max-r", dest="max_r", type=int, default=3)
-    sw.add_argument("--coeff-bound", dest="coeff_bound", type=int, default=4)
-    sw.add_argument("--degree-bound", dest="degree_bound", type=int, default=3)
+    for name in ("seed", "trials", "max_n", "max_r", "coeff_bound", "degree_bound"):
+        sw.add_argument("--" + name.replace("_", "-"), dest=name, type=int,
+                        default=getattr(SweepConfig, name))
     sw.add_argument("--identities",
                     help=f"comma-separated subset of: {','.join(IDENTITIES)}")
     sw.add_argument("--negative", action="store_true",

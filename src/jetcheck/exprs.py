@@ -427,14 +427,16 @@ def nth_derivative(e: Expr, k: int, x0: Scalar) -> Scalar:
 
     This is the brute-force route: repeated :func:`diff` followed by plain
     evaluation, involving no jet machinery at all, which makes it a fully
-    independent cross-check for the jet engine.
+    independent cross-check for the jet engine.  The mode is chosen on ``e``,
+    as :func:`eval_jet` chooses it, since a derivative can drop a decimal.
     """
     if k < 0:
         raise DomainError(f"derivative order must be non-negative, got {k}")
+    x0, mode = _mode_for(x0, (e,))
     d = e
     for _ in range(k):
         d = diff(d)
-    return eval_scalar(d, x0)
+    return _eval(d, x0, mode == "float", {})
 
 
 # Precedence levels for printing: addition 1, multiplication 2, unary minus 3,

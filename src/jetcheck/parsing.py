@@ -12,6 +12,9 @@ Grammar::
 
 Notes on the lexical level:
 
+* One regular expression reads each token after its blanks: a NUMBER, a
+  word, an operator or the end.  A name is a word that starts with a letter
+  or ``_``; any other word or character is a parse error at its offset.
 * ``p/q`` with no intervening whitespace is a single rational literal, so
   ``3/4`` is the constant three-quarters (and ``3/4^2`` is (3/4)^2), while
   ``3 / 4`` and ``x/4`` are divisions.
@@ -29,15 +32,17 @@ Notes on the lexical level:
   stack; a higher node is a parse error at the token that would build it.
 * An integer longer than the interpreter's int-to-str digit limit and a
   decimal beyond the float range are parse errors.  :func:`parse_number`
-  reads one signed NUMBER with the same lexer, for command-line values.
+  reads one signed NUMBER with the same pattern, for command-line values.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
 from .exprs import (
     Apply,
@@ -61,6 +66,9 @@ MAX_CONSTANT_BITS = 100_000
 MAX_NESTING = 100
 MAX_HEIGHT = 200
 
+# The binary operators by level, loosest first; each level is left-associative.
+_BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
+
 
 class ParseError(ValueError):
     """Malformed input, with the byte offset and what was expected there."""
@@ -72,48 +80,44 @@ class ParseError(ValueError):
         super().__init__(f"parse error at offset {offset}: expected {expected}, found {found}")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "name" | "op" | "end"
     text: str
     offset: int
     value: Scalar | None = None
 
 
-def _digits_end(source: str, i: int) -> int:
-    n = len(source)
-    while i < n and source[i].isdecimal():
-        i += 1
-    return i
+# Blanks, then one token: a NUMBER, a word, an operator, the end or any other
+# character.  \s, \d and \w match exactly str.isspace, str.isdecimal and
+# str.isalnum() or "_"; a word's first character is checked by _tokenize.
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+|/\d+)?)|(?P<name>\w+)|(?P<op>[-+*/^()])"
+                    r"|(?P<end>\Z)|(?P<other>.))", re.DOTALL)
+_SIGN = re.compile(r"\s*([-+]?)(?=\d)")
 
 
-def _integer(source: str, start: int, end: int) -> int:
+def _integer(digits: str, offset: int) -> int:
     try:
-        return int(source[start:end])
+        return int(digits)
     except ValueError:  # more digits than the interpreter converts to an int
-        raise ParseError(start, f"an integer of at most {sys.get_int_max_str_digits()} digits",
-                         f"one of {end - start} digits") from None
+        raise ParseError(offset, f"an integer of at most {sys.get_int_max_str_digits()} digits",
+                         f"one of {len(digits)} digits") from None
 
 
-def _number(source: str, start: int) -> tuple[int, int | Fraction | float]:
-    """The NUMBER starting at ``source[start]``, a decimal digit: its end and
-    its value, an int, a Fraction or a float by the literal's form."""
-    i = _digits_end(source, start)
-    if source[i:i + 1] == "." and source[i + 1:i + 2].isdecimal():
-        i = _digits_end(source, i + 1)
-        value = float(source[start:i])
+def _number(text: str, offset: int) -> int | Fraction | float:
+    """The value of the NUMBER ``text`` found at ``offset``: an int, a
+    Fraction or a float by the literal's form."""
+    if "." in text:
+        value = float(text)
         if math.isinf(value):
-            raise ParseError(start, "a decimal within the float range",
-                             f"one of {i - start} characters")
-        return i, value
-    num = _integer(source, start, i)
-    if source[i:i + 1] == "/" and source[i + 1:i + 2].isdecimal():
-        end = _digits_end(source, i + 1)
-        den = _integer(source, i + 1, end)
-        if den == 0:
-            raise ParseError(i + 1, "a nonzero denominator", "0")
-        return end, Fraction(num, den)
-    return i, num
+            raise ParseError(offset, "a decimal within the float range",
+                             f"one of {len(text)} characters")
+        return value
+    num, _, den = text.partition("/")
+    p = _integer(num, offset)
+    q = _integer(den, offset + len(num) + 1) if den else 1
+    if q == 0:
+        raise ParseError(offset + len(num) + 1, "a nonzero denominator", "0")
+    return Fraction(p, q) if den else p
 
 
 def parse_number(text: str) -> int | Fraction | float | None:
@@ -122,43 +126,27 @@ def parse_number(text: str) -> int | Fraction | float | None:
     an int, a Fraction or a float by the literal's form (``-0.0`` keeps its
     sign), or None when ``text`` is anything else.  A literal out of range
     raises :class:`ParseError`, as it does in an expression."""
-    body = text.strip()
-    sign = body[:1] if body[:1] in ("+", "-") else ""
-    start = len(text) - len(text.lstrip()) + len(sign)
-    if not text[start:start + 1].isdecimal():
+    sign = _SIGN.match(text)
+    if sign is None:
         return None
-    end, value = _number(text, start)
-    if text[end:].strip():
+    number = _TOKEN.match(text, sign.end())
+    value = _number(number["num"], sign.end())
+    if _TOKEN.match(text, number.end()).lastgroup != "end":
         return None
-    return -value if sign == "-" else value
+    return -value if sign[1] == "-" else value
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            start = i
-            i, value = _number(source, start)
-            tokens.append(_Token("num", source[start:i], start, Scalar(value)))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", source[start:i], start))
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(i, "a number, name, or operator", f"{ch!r}")
-    tokens.append(_Token("end", "end of input", n))
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text, offset = match[kind], match.start(kind)
+        if kind == "end":
+            tokens.append(_Token(kind, "end of input", offset))
+            break
+        if kind == "other" or (kind == "name" and not (text[0].isalpha() or text[0] == "_")):
+            raise ParseError(offset, "a number, name, or operator", repr(text[0]))
+        tokens.append(_Token(kind, text, offset, Scalar(_number(text, offset)) if kind == "num" else None))
     return tokens
 
 
@@ -182,40 +170,34 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def match_op(self, *ops: str) -> _Token | None:
+    def match_op(self, op: str) -> _Token | None:
         tok = self.peek()
-        if tok.kind == "op" and tok.text in ops:
+        if tok.kind == "op" and tok.text == op:
             return self.advance()
         return None
 
     def expect_op(self, op: str, context: str) -> None:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == op:
-            self.advance()
-            return
-        raise ParseError(tok.offset, f"'{op}' {context}", self._describe(tok))
+        if self.match_op(op) is None:
+            tok = self.peek()
+            raise ParseError(tok.offset, f"'{op}' {context}", self._describe(tok))
 
     @staticmethod
     def _describe(tok: _Token) -> str:
         return tok.text if tok.kind == "end" else f"'{tok.text}'"
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self, level: int = 0) -> Expr:
+        """A sum (level 0) or a product (level 1) of the operands one level down;
+        a partial, not a lambda, so that a nesting level costs no extra frame."""
+        operand = partial(self.expr, level + 1) if level + 1 < len(_BINARY) else self.unary
+        node = operand()
         while True:
-            tok = self.match_op("+", "-")
-            if tok is None:
+            tok = self.peek()
+            build = _BINARY[level].get(tok.text)  # only an operator's text is a key
+            if build is None:
                 return node
-            right = self.term()
-            node = self._record(tok, (Add if tok.text == "+" else Sub)(node, right), node, right)
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while True:
-            tok = self.match_op("*", "/")
-            if tok is None:
-                return node
-            right = self.unary()
-            node = self._record(tok, (Mul if tok.text == "*" else Div)(node, right), node, right)
+            self.advance()
+            right = operand()
+            node = self._record(tok, build(node, right), node, right)
 
     def _nested(self, tok: _Token, parse) -> Expr:
         """``parse()`` one level deeper, the level ``tok`` opens; at most MAX_NESTING."""
@@ -297,9 +279,7 @@ class _Parser:
             inner = self._nested(tok, self.expr)
             self.expect_op(")", "to close the group")
             return inner
-        raise ParseError(
-            tok.offset, "a number, 'x', a function name, or '('", self._describe(tok)
-        )
+        raise ParseError(tok.offset, "a number, 'x', a function name, or '('", self._describe(tok))
 
 
 def parse(source: str) -> Expr:

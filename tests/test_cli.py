@@ -346,6 +346,15 @@ def test_sweep_json_deterministic():
     assert doc["counts"]["pass"] == 60
 
 
+def test_sweep_defaults_are_the_sweep_config_defaults():
+    from jetcheck.cli import build_parser
+    from jetcheck.identities import SweepConfig
+
+    args, config = build_parser().parse_args(["sweep"]), SweepConfig()
+    for name in ("seed", "trials", "max_n", "max_r", "coeff_bound", "degree_bound"):
+        assert getattr(args, name) == getattr(config, name), name
+
+
 def test_sweep_negative_mode():
     code, out, err = invoke("sweep", "--seed", "1", "--trials", "5", "--negative", "--json")
     assert code == 1

@@ -13,11 +13,13 @@ from helpers import (
     rand_transcendental,
     rel_close,
 )
+from jetcheck import exprs
 from jetcheck.exprs import (
     Add,
     Apply,
     Const,
     Div,
+    Expr,
     Mul,
     Neg,
     PowInt,
@@ -90,6 +92,38 @@ def test_nth_derivative_examples():
     e = parse("x^3 - x")
     x0 = Scalar.exact(5, 3)
     assert nth_derivative(e, 0, x0) == eval_scalar(e, x0)
+
+
+def test_nth_derivative_takes_its_mode_from_the_given_tree():
+    # diff folds (0.5*x)^0 to an exact 0, so the derivative alone has no
+    # decimal left; the decimal in the given tree still makes it float
+    e = parse("(0.5*x)^0 + x")
+    assert nth_derivative(e, 1, Scalar.exact(1)) == Scalar.inexact(1.0)
+    assert eval_jet(e, Scalar.exact(1), 1).derivative(1) == Scalar.inexact(1.0)
+
+
+def test_nth_derivative_walks_only_the_given_tree_for_its_mode(monkeypatch):
+    # counts the contains_float calls made while choosing the mode; diff's
+    # constructors make others, a few for each pair of constants they fold
+    def nodes(e):
+        return 1 + sum(nodes(v) for v in vars(e).values() if isinstance(v, Expr))
+
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return contains_float(e)
+
+    def mode_for(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(exprs, "contains_float", counting)
+            return choose_mode(*args)
+
+    choose_mode = exprs._mode_for
+    monkeypatch.setattr(exprs, "_mode_for", mode_for)
+    e = parse("x^3/(1+x^2)")
+    assert nth_derivative(e, 8, Scalar.exact(1, 2)) == Scalar.exact(4950392832, 390625)
+    assert len(calls) <= nodes(e) == 7
 
 
 def test_predicates():

@@ -1,4 +1,6 @@
 import gc
+import re
+import sys
 import time
 from fractions import Fraction
 
@@ -120,6 +122,26 @@ def test_superscript_digit_is_a_parse_error():
 
 def test_non_ascii_decimal_digits_still_parse():
     assert parse("٣*x") == Mul(C(3), Var())
+
+
+def test_the_token_pattern_classes_match_the_str_predicates():
+    # the lexer's \s, \d and \w stand for these predicates on every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for pattern, holds in ((r"\s", str.isspace), (r"\d", str.isdecimal),
+                           (r"\w", lambda c: c.isalnum() or c == "_")):
+        assert re.findall(pattern, every) == [c for c in every if holds(c)], pattern
+
+
+@pytest.mark.parametrize("text, offset, expected, found", [
+    # a word must start with a letter or '_', which \w alone does not say
+    ("²x", 0, "a number, name, or operator", "'²'"),
+    ("Ⅷ", 0, "a number, name, or operator", "'Ⅷ'"),
+    ("x²", 0, "'x' or a function name", "'x²'"),
+])
+def test_a_word_starts_with_a_letter_or_underscore(text, offset, expected, found):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.offset, err.value.expected, err.value.found) == (offset, expected, found)
 
 
 # Round-trip: printing a canonical tree and reparsing gives the same tree.
