@@ -33,59 +33,67 @@ from typing import Sequence, Union
 from .jets import ELEMENTARY_FUNCTIONS, Jet
 from .numeric import DomainError, ModeError, Scalar
 
+# The recursive walks below take one frame per tree level, so trees are
+# bounded in height where they are built: the parser's at MAX_HEIGHT, and a
+# derivative that nth_derivative evaluates at MAX_DERIVATIVE_HEIGHT.  diff
+# adds at most three levels per level, so every first derivative of a parsed
+# tree is within the second bound.
+MAX_HEIGHT = 200
+MAX_DERIVATIVE_HEIGHT = 3 * MAX_HEIGHT
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Const:
     value: Scalar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Div:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowInt:
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowReal:
     base: "Expr"
     exponent: Scalar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Apply:
     fn: str
     arg: "Expr"
@@ -429,14 +437,46 @@ def nth_derivative(e: Expr, k: int, x0: Scalar) -> Scalar:
     evaluation, involving no jet machinery at all, which makes it a fully
     independent cross-check for the jet engine.  The mode is chosen on ``e``,
     as :func:`eval_jet` chooses it, since a derivative can drop a decimal.
+    A derivative more than MAX_DERIVATIVE_HEIGHT levels high is a
+    DomainError naming its order and its height.
     """
     if k < 0:
         raise DomainError(f"derivative order must be non-negative, got {k}")
     x0, mode = _mode_for(x0, (e,))
-    d = e
-    for _ in range(k):
+    d, heights = e, {}
+    trees = []  # every tree measured so far, so that no id in ``heights`` is reused
+    for order in range(1, k + 1):
         d = diff(d)
+        trees.append(d)
+        height = _height(d, heights)
+        if height > MAX_DERIVATIVE_HEIGHT:
+            raise DomainError(f"the derivative of order {order} is {height} levels high, "
+                              f"more than the {MAX_DERIVATIVE_HEIGHT} that can be evaluated")
     return _eval(d, x0, mode == "float", {})
+
+
+def _height(e: Expr, heights: dict[int, int]) -> int:
+    """Levels from ``e`` down to its deepest leaf, by an explicit stack and
+    memoized in ``heights`` on node identity, since derivatives share their
+    subtrees."""
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if isinstance(node, (Add, Sub, Mul, Div)):
+            children: tuple[Expr, ...] = (node.left, node.right)
+        elif isinstance(node, (Neg, Apply)):
+            children = (node.arg,)
+        elif isinstance(node, (PowInt, PowReal)):
+            children = (node.base,)
+        else:
+            children = ()
+        pending = [c for c in children if id(c) not in heights]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        heights[id(node)] = 1 + max((heights[id(c)] for c in children), default=0)
+    return heights[id(e)]
 
 
 # Precedence levels for printing: addition 1, multiplication 2, unary minus 3,

@@ -5,6 +5,10 @@ Scalars come in exactly two modes:
 * exact mode, backed by arbitrary-precision rationals (``fractions.Fraction``),
 * float mode, backed by ordinary float64.
 
+A scalar's ``value`` is exactly a ``Fraction`` or exactly a ``float``: an int
+becomes a ``Fraction`` and a subclass instance its base type, so the mode is
+the value's class.
+
 Arithmetic never mixes the two silently: combining an exact scalar with a
 float one raises :class:`ModeError`.  Conversion is explicit, via
 :meth:`Scalar.to_float`.  Plain Python ints are accepted on either side of an
@@ -43,12 +47,17 @@ class Scalar:
     __slots__ = ("value",)
 
     def __init__(self, value: Fraction | float | int):
-        if isinstance(value, bool):
-            raise TypeError("bool is not a scalar value")
-        if isinstance(value, int):
-            value = Fraction(value)
-        if not isinstance(value, (Fraction, float)):
-            raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
+        cls = type(value)
+        if cls is not float and cls is not Fraction:
+            # an int, or a subclass of Fraction or float, becomes its base type
+            if isinstance(value, bool):
+                raise TypeError("bool is not a scalar value")
+            if isinstance(value, float):
+                value = float(value)
+            elif isinstance(value, (int, Fraction)):
+                value = Fraction(value)
+            else:
+                raise TypeError(f"cannot build a Scalar from {cls.__name__}")
         self.value: Fraction | float = value
 
     @classmethod
@@ -63,7 +72,7 @@ class Scalar:
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.value, Fraction)
+        return self.value.__class__ is Fraction
 
     @property
     def mode(self) -> str:
@@ -76,14 +85,14 @@ class Scalar:
     def _lift(self, other: object) -> "Scalar | None":
         """Bring ``other`` into this scalar's mode, or None if unsupported."""
         if isinstance(other, Scalar):
-            if other.is_exact != self.is_exact:
+            if other.value.__class__ is not self.value.__class__:
                 raise ModeError(
                     f"cannot combine {self.mode} and {other.mode} scalars; "
                     "convert explicitly with to_float()"
                 )
             return other
         if isinstance(other, int) and not isinstance(other, bool):
-            return Scalar(Fraction(other)) if self.is_exact else Scalar(float(other))
+            return Scalar(self.value.__class__(other))
         return None
 
     def __add__(self, other: object) -> Scalar:
@@ -139,7 +148,7 @@ class Scalar:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Scalar):
-            return self.is_exact == other.is_exact and self.value == other.value
+            return self.value.__class__ is other.value.__class__ and self.value == other.value
         if isinstance(other, int) and not isinstance(other, bool):
             return self.value == other
         return NotImplemented

@@ -45,6 +45,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .exprs import (
+    MAX_HEIGHT,
     Apply,
     Const,
     Div,
@@ -56,6 +57,7 @@ from .exprs import (
     Sub,
     Add,
     Var,
+    X,
     constant_value,
 )
 from .jets import ELEMENTARY_FUNCTIONS
@@ -64,7 +66,6 @@ from .numeric import Scalar
 MAX_EXPONENT = 10_000
 MAX_CONSTANT_BITS = 100_000
 MAX_NESTING = 100
-MAX_HEIGHT = 200
 
 # The binary operators by level, loosest first; each level is left-associative.
 _BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
@@ -267,7 +268,7 @@ class _Parser:
         if tok.kind == "name":
             self.advance()
             if tok.text == "x":
-                return Var()
+                return X
             if tok.text in ELEMENTARY_FUNCTIONS:
                 self.expect_op("(", f"after '{tok.text}'")
                 inner = self._nested(tok, self.expr)

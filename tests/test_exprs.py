@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 from fractions import Fraction
@@ -106,7 +107,8 @@ def test_nth_derivative_walks_only_the_given_tree_for_its_mode(monkeypatch):
     # counts the contains_float calls made while choosing the mode; diff's
     # constructors make others, a few for each pair of constants they fold
     def nodes(e):
-        return 1 + sum(nodes(v) for v in vars(e).values() if isinstance(v, Expr))
+        children = (getattr(e, f.name) for f in dataclasses.fields(e))
+        return 1 + sum(nodes(v) for v in children if isinstance(v, Expr))
 
     calls = []
 

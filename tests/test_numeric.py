@@ -1,3 +1,6 @@
+import math
+import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -75,6 +78,81 @@ class TestScalar:
         assert sa * (sb + sc) == sa * sb + sa * sc
         if c != 0:
             assert (sa / sc) * sc == sa
+
+
+class _Rational(Fraction):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+# Floats of every kind, with the signed zeros and the non-finite values drawn often.
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats())
+MIXED = [operator.add, operator.sub, operator.mul, operator.truediv,
+         operator.lt, operator.le, operator.gt, operator.ge]
+
+
+def _bits(op, *args):
+    """float.hex of ``op(*args)``, or the type of the error it raises; a
+    Scalar result must hold exactly a float."""
+    try:
+        out = op(*args)
+    except ArithmeticError as err:
+        return type(err)
+    if isinstance(out, Scalar):
+        assert out.value.__class__ is float
+        out = out.value
+    return float.hex(out)
+
+
+class TestScalarValueType:
+    @pytest.mark.parametrize("value, base", [
+        (3, Fraction), (Fraction(1, 3), Fraction), (_Rational(1, 3), Fraction),
+        (0.5, float), (_Real(-0.0), float), (_Real(math.inf), float),
+    ])
+    def test_value_is_exactly_a_fraction_or_a_float(self, value, base):
+        s = Scalar(value)
+        assert s.value.__class__ is base
+        assert float.hex(float(s.value)) == float.hex(float(value))
+        assert s.is_exact == (base is Fraction)
+
+    def test_a_subclass_value_combines_as_its_base_type(self):
+        assert Scalar(_Rational(1, 2)) + Scalar.exact(1) == Scalar.exact(3, 2)
+        assert Scalar(_Real(0.5)) * 2 == Scalar.inexact(1.0)
+        with pytest.raises(ModeError):
+            Scalar(_Real(0.5)) + Scalar(_Rational(1, 2))
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "bool is not a scalar value"),
+        ("1", "cannot build a Scalar from str"),
+        (Decimal("0.5"), "cannot build a Scalar from Decimal"),
+    ])
+    def test_other_values_are_refused(self, value, message):
+        with pytest.raises(TypeError, match=message):
+            Scalar(value)
+
+    @pytest.mark.parametrize("op", MIXED)
+    def test_every_mixed_mode_operator_raises(self, op):
+        exact, inexact = Scalar.exact(1, 3), Scalar.inexact(0.5)
+        for a, b in ((exact, inexact), (inexact, exact)):
+            with pytest.raises(ModeError, match=f"cannot combine {a.mode} and {b.mode} scalars; "
+                                                 r"convert explicitly with to_float\(\)"):
+                op(a, b)
+        assert exact != inexact and not exact == inexact
+
+    @given(FLOATS, FLOATS, st.integers(-4, 4))
+    def test_float_scalars_give_the_bits_of_plain_floats(self, a, b, k):
+        sa, sb = Scalar(a), Scalar(b)
+        # an int operand is lifted into float mode
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            assert _bits(op, sa, sb) == _bits(op, a, b)
+            assert _bits(op, sa, k) == _bits(op, a, float(k))
+            assert _bits(op, k, sa) == _bits(op, float(k), a)
+        assert _bits(operator.pow, sa, k) == _bits(operator.pow, a, k)
+        assert _bits(operator.neg, sa) == _bits(operator.neg, a)
+        assert _bits(abs, sa) == _bits(abs, a)
 
 
 class TestMultiIndex:

@@ -1,10 +1,13 @@
-"""Parsed trees at the height bound, ``parsing.MAX_HEIGHT``.
+"""Parsed trees at the height bound, ``parsing.MAX_HEIGHT``, and derivatives
+at theirs, ``exprs.MAX_DERIVATIVE_HEIGHT``.
 
 Every walk of the library, the printer, the evaluators and the CLI over a
 tree of exactly that height ends without ``RecursionError``, and so do the
 dataclass methods and ``copy.deepcopy``, and so does the first derivative
 of the sum, product and quotient chains; one level more is a ``ParseError``
-at the token that would build the higher node, raised at once.
+at the token that would build the higher node, raised at once.  The walks
+that ``nth_derivative`` makes of a derivative fit a tree as high as its
+bound, and a higher derivative is a ``DomainError``.
 
 The module needs no pytest: ``python tests/test_tree_height.py`` runs the
 same checks on interpreters that have none.
@@ -18,8 +21,20 @@ import io
 import time
 
 from jetcheck.cli import run
-from jetcheck.exprs import contains_float, diff, eval_jet, eval_scalar, nth_derivative, to_text
-from jetcheck.numeric import Scalar
+from jetcheck.exprs import (
+    MAX_DERIVATIVE_HEIGHT,
+    X,
+    Div,
+    _eval,
+    _height,
+    contains_float,
+    diff,
+    eval_jet,
+    eval_scalar,
+    nth_derivative,
+    to_text,
+)
+from jetcheck.numeric import DomainError, Scalar
 from jetcheck.parsing import MAX_HEIGHT, MAX_NESTING, ParseError, parse
 
 GROUPS = MAX_NESTING - 1
@@ -93,6 +108,28 @@ def test_first_derivatives_of_the_chains_at_the_bound():
     for name, expected in (("sum", 200), ("product", 200), ("quotient", -198)):
         text, at, _, _ = CASES[name]
         assert nth_derivative(parse(text), 1, Scalar(int(at))) == expected
+
+
+def test_the_walks_of_a_derivative_fit_its_bound():
+    # _eval, contains_float and _diff take one frame per level of a quotient chain
+    tree = X
+    for _ in range(MAX_DERIVATIVE_HEIGHT - 1):
+        tree = Div(tree, X)
+    assert MAX_DERIVATIVE_HEIGHT >= 3 * MAX_HEIGHT
+    assert _height(tree, {}) == MAX_DERIVATIVE_HEIGHT
+    assert not contains_float(tree)
+    assert _eval(tree, Scalar(2), False, {}) == Scalar.exact(1, 2 ** (MAX_DERIVATIVE_HEIGHT - 2))
+    diff(tree)
+
+
+def test_a_second_derivative_past_the_bound_is_a_domain_error():
+    # order 1 of the same chain is evaluated, in the test above
+    try:
+        nth_derivative(parse(CASES["quotient"][0]), 2, Scalar(1))
+    except DomainError as err:
+        assert "order 2 is 1193 levels high" in str(err), err
+    else:
+        raise AssertionError("evaluated a derivative higher than MAX_DERIVATIVE_HEIGHT")
 
 
 def test_one_level_more_is_a_parse_error_at_its_token():
