@@ -13,13 +13,14 @@ All coefficients of one jet share a single scalar mode.  An exact jet stores
 Python integers over their least positive denominator, so equal jets store
 the same integers; a float jet stores its floats.  Arithmetic runs on that
 storage (:meth:`Jet.cleared` hands it out), the float operations in the
-order Scalar arithmetic would use; :attr:`Jet.coeffs` is a Scalar view.
+order Scalar arithmetic would use; :attr:`Jet.coeffs` is a read-only Scalar
+view at the library's edge, built on each read.
 
 In exact mode every operation is exact rational arithmetic; the elementary
 transcendental functions (exp, log, sin, cos, sqrt, and real powers with
 non-integer exponent) are float-mode only, because their leading values are
-irrational for almost every rational input.  Their recurrences read the
-Scalar view.  Asking for them on an exact jet raises
+irrational for almost every rational input.  Their recurrences run on the
+stored floats and build no Scalar.  Asking for them on an exact jet raises
 :class:`jetcheck.numeric.ModeError` instead of silently degrading.
 
 Jets are immutable values; every operation returns a fresh jet, so they are
@@ -283,27 +284,27 @@ class Jet:
 
     def exp(self) -> Jet:
         self._require_float("exp")
-        a = self.coeffs
+        a = self._values
         try:
-            b = [Scalar.inexact(math.exp(float(a[0])))]
+            b = [math.exp(a[0])]
         except OverflowError:
             raise DomainError("exp overflow at the expansion point") from None
-        for k in range(1, self.order + 1):
+        for k in range(1, len(a)):
             b.append(ordered_sum(a[j] * b[k - j] * j for j in range(1, k + 1)) / k)
-        return Jet(b)
+        return Jet._of(b, None)
 
     def log(self) -> Jet:
         self._require_float("log")
-        a = self.coeffs
+        a = self._values
         if not a[0] > 0:
             raise DomainError("log requires a positive value at the expansion point")
-        b = [Scalar.inexact(math.log(float(a[0])))]
-        for k in range(1, self.order + 1):
+        b = [math.log(a[0])]
+        for k in range(1, len(a)):
             acc = a[k] * k
             for j in range(1, k):
                 acc = acc - b[j] * a[k - j] * j
             b.append(acc / k / a[0])
-        return Jet(b)
+        return Jet._of(b, None)
 
     def sin(self) -> Jet:
         return self._sin_cos()[0]
@@ -313,26 +314,25 @@ class Jet:
 
     def _sin_cos(self) -> tuple[Jet, Jet]:
         self._require_float("sin/cos")
-        a = self.coeffs
-        s = [Scalar.inexact(math.sin(float(a[0])))]
-        c = [Scalar.inexact(math.cos(float(a[0])))]
-        for k in range(1, self.order + 1):
+        a = self._values
+        s, c = [math.sin(a[0])], [math.cos(a[0])]
+        for k in range(1, len(a)):
             s.append(ordered_sum(a[j] * c[k - j] * j for j in range(1, k + 1)) / k)
             c.append(-(ordered_sum(a[j] * s[k - j] * j for j in range(1, k + 1)) / k))
-        return Jet(s), Jet(c)
+        return Jet._of(s, None), Jet._of(c, None)
 
     def sqrt(self) -> Jet:
         self._require_float("sqrt")
-        a = self.coeffs
+        a = self._values
         if not a[0] > 0:
             raise DomainError("sqrt requires a positive value at the expansion point")
-        b = [Scalar.inexact(math.sqrt(float(a[0])))]
-        for k in range(1, self.order + 1):
+        b = [math.sqrt(a[0])]
+        for k in range(1, len(a)):
             acc = a[k]
             for j in range(1, k):
                 acc = acc - b[j] * b[k - j]
             b.append(acc / b[0] / 2)
-        return Jet(b)
+        return Jet._of(b, None)
 
     def pow_real(self, alpha: Scalar) -> Jet:
         """Real power a**alpha.
@@ -348,15 +348,15 @@ class Jet:
         if not alpha.is_exact and float(alpha).is_integer():
             return self ** int(float(alpha))
         self._require_float("a non-integer real power")
-        a = self.coeffs
+        a = self._values
         if not a[0] > 0:
             raise DomainError("non-integer real power requires a positive value at the expansion point")
         al = float(alpha)
         # u has zero constant coefficient, so p below is the series of (1+u)**alpha.
-        u = [Scalar.inexact(0.0)] + [ai / a[0] for ai in a[1:]]
-        p = [Scalar.inexact(1.0)]
-        for n in range(1, self.order + 1):
-            terms = (u[k] * p[n - k] * Scalar.inexact((al + 1.0) * k - n) for k in range(1, n + 1))
+        u = [0.0] + [ai / a[0] for ai in a[1:]]
+        p = [1.0]
+        for n in range(1, len(a)):
+            terms = (u[k] * p[n - k] * ((al + 1.0) * k - n) for k in range(1, n + 1))
             p.append(ordered_sum(terms) / n)
-        lead = Scalar.inexact(math.pow(float(a[0]), al))
-        return Jet([lead * pk for pk in p])
+        lead = math.pow(a[0], al)
+        return Jet._of([lead * pk for pk in p], None)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -175,13 +176,56 @@ def test_exact_mode_rejects_transcendentals():
         j.pow_real(Scalar.exact(5, 2))
 
 
+def _raises_domain_error(call, message: str) -> None:
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
 def test_float_domain_errors():
-    with pytest.raises(DomainError):
-        float_jet(-1.0, 1.0).log()
-    with pytest.raises(DomainError):
-        float_jet(0.0, 1.0).sqrt()
-    with pytest.raises(DomainError):
-        float_jet(-2.0, 1.0).pow_real(Scalar.inexact(0.5))
+    not_positive = "requires a positive value at the expansion point"
+    for lead in (-1.0, 0.0, -0.0, math.nan):
+        for order in (0, 1, 3):
+            j = float_jet(lead, *[1.0] * order)
+            _raises_domain_error(j.log, f"log {not_positive}")
+            _raises_domain_error(j.sqrt, f"sqrt {not_positive}")
+            for alpha in (Scalar.inexact(0.5), Scalar.exact(-1, 3)):
+                _raises_domain_error(lambda: j.pow_real(alpha),
+                                     f"non-integer real power {not_positive}")
+    for j in (float_jet(1000.0, 1.0), float_jet(1000.0)):
+        _raises_domain_error(j.exp, "exp overflow at the expansion point")
+    # order-0 jets at a positive point hold the function's value alone
+    assert float_jet(2.0).log().cleared() == ((math.log(2.0),), 1)
+    assert float_jet(2.0).sqrt().cleared() == ((math.sqrt(2.0),), 1)
+    assert float_jet(2.0).pow_real(Scalar.exact(1, 3)).cleared() == ((math.pow(2.0, 1 / 3),), 1)
+
+
+# Bits of the elementary recurrences on a fixed grid of float jets: leading
+# values, orders 0 to 20, and tails with a negative value, -0.0, 1e-300 and
+# 1e300.  The digest is SHA-256 over the float.hex() of every output
+# coefficient; any change in the order of a float operation changes it.
+GRID_LEADS = (0.3, 1.0, 2.5, 7.0)
+GRID_ORDERS = (0, 1, 5, 20)
+GRID_TAILS = ([1.0, -0.5, -0.0, 0.25, -3.0], [1e-300, -2.0, 1e300, -0.0, 0.75])
+GRID_EXPONENTS = (Scalar.exact(5, 2), Scalar.exact(-1, 2), Scalar.inexact(1 / 3))
+GRID_DIGEST = "4c35ce1470fe83b57c8cc70b250c9812f47def35dd161d6b0775f64793e8857b"
+
+
+def test_elementary_recurrences_keep_their_bits():
+    digest, outputs = hashlib.sha256(), 0
+    for lead in GRID_LEADS:
+        for order in GRID_ORDERS:
+            for tail in GRID_TAILS:
+                j = float_jet(lead, *[tail[k % len(tail)] for k in range(order)])
+                results = [j.exp(), j.log(), j.sin(), j.cos(), j.sqrt()]
+                results += [j.pow_real(alpha) for alpha in GRID_EXPONENTS]
+                for result in results:
+                    values, den = result.cleared()
+                    assert den == 1 and all(type(v) is float for v in values)
+                    digest.update((",".join(v.hex() for v in values) + "\n").encode())
+                    outputs += 1
+    assert outputs == 256
+    assert digest.hexdigest() == GRID_DIGEST
 
 
 def test_pow_real_matches_generalized_binomial():

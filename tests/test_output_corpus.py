@@ -3,7 +3,8 @@
 Each invocation runs through ``cli.run``; the SHA-256 of its exit code,
 standard output and standard error is compared with the committed table in
 ``output_corpus.json``.  The corpus covers every README example, every
-verify/binomid/lemma kind in text and JSON, exact and ``--float``, a large
+verify/binomid/lemma kind in text and JSON, exact and ``--float``, every
+elementary recurrence and non-integer real powers at n >= 10, a large
 float instance, the README soak sweep and a ``--negative`` sweep, so a
 refactor that changes a single output byte fails here.
 
@@ -69,6 +70,18 @@ OTHERS = [
     ["verify", "theorem1", "--n", "3", "--s", "1,1", "--f", "cos(x),exp(x)",
      "--g", "sin(x),-sin(x)", "--at", "1/3", "--float", "--tol", "1e-12"],
     ["verify", "baran", "--n", "200", "--f", "x", "--g", "exp(x)", "--at", "1", "--float"],
+    # every elementary recurrence and non-integer real powers at n >= 10
+    ["verify", "baran", "--n", "12", "--f", "exp(x/2)*sqrt(x+1)", "--g", "sin(x)+(x+1)^(1/3)",
+     "--at", "0.5", "--json"],
+    ["verify", "baran", "--n", "16", "--f", "cos(x)^2-log(x)", "--g", "x^(1/2)+exp(-x)",
+     "--at", "2.5"],
+    ["verify", "leibniz_product", "--n", "10", "--f", "log(1+x)*cos(x)", "--g", "x^(5/3)",
+     "--at", "0.8", "--json"],
+    ["verify", "leibniz_product", "--n", "14", "--f", "sin(x)*exp(x)", "--g", "sqrt(x)-x^(-1/2)",
+     "--at", "1.5"],
+    ["lemma", "--f", "log(x)*cos(x)+sqrt(x)-x^(1/2)", "--n", "10", "--at", "1.0"],
+    ["lemma", "--f", "sin(x)*exp(x)+log(1+x)-(x+1)^(5/3)+1", "--n", "12", "--at", "0.0",
+     "--json"],
     # verdicts other than pass
     ["verify", "theorem1", "--n", "2", "--s", "1,1", "--f", "1,x", "--g", "x,x", "--at", "2"],
     ["binomid", "eq4", "--n", "2", "--s", "1,0", "--c", "1,-1", "--alpha", "1,2",
