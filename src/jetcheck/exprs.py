@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Union
 
 from .jets import ELEMENTARY_FUNCTIONS, Jet
@@ -397,37 +398,66 @@ def eval_jet(e: Expr, x0: Scalar, order: int, *, mode: str | None = None) -> Jet
     jet operations.  Mode selection matches :func:`eval_scalar`, unless the
     caller passes the ``mode`` it has already chosen for the tree and x0
     ("exact" only for an exact x0 and a tree without float literals), which
-    saves walking the tree for them."""
+    saves walking the tree for them.
+
+    In exact mode a subtree without x stays a Fraction, which scales or
+    shifts a jet through the jet's operators; it becomes a constant jet only
+    where a jet operation needs one (a constant over a jet, a zero divisor,
+    zero to a negative power, a real power, a function, the whole tree), so
+    errors read as before.  Float mode keeps every constant a jet, so its
+    float operations, and bits, stay jet-by-jet."""
     if mode is None:
         x0, mode = _mode_for(x0, (e,))
-    return _jet(e, Jet.variable(x0.to_float() if mode == "float" else x0, order))
+    seed = Jet.variable(x0.to_float() if mode == "float" else x0, order)
+    return _lifted(_jet(e, seed), seed)
 
 
-def _jet(node: Expr, seed: Jet) -> Jet:
-    """:func:`eval_jet` of a subtree; ``seed``, the jet of x, fixes order and
-    mode.  Not a closure, so an evaluation leaves no reference cycle behind."""
+def _jet(node: Expr, seed: Jet) -> Jet | Fraction:
+    """:func:`eval_jet` of a subtree, a Fraction for one without x in exact
+    mode; ``seed``, the jet of x, fixes order and mode.  Not a closure, so an
+    evaluation leaves no reference cycle behind."""
     if isinstance(node, Const):
-        return Jet.constant(node.value if seed.is_exact else node.value.to_float(), seed.order)
+        if seed.is_exact:
+            return node.value.value
+        return Jet.constant(node.value.to_float(), seed.order)
     if isinstance(node, Var):
         return seed
     if isinstance(node, Neg):
         return -_jet(node.arg, seed)
     if isinstance(node, Add):
-        return _jet(node.left, seed) + _jet(node.right, seed)
+        a, b = _jet(node.left, seed), _jet(node.right, seed)
+        return b + a if a.__class__ is Fraction else a + b
     if isinstance(node, Sub):
         return _jet(node.left, seed) - _jet(node.right, seed)
     if isinstance(node, Mul):
-        return _jet(node.left, seed) * _jet(node.right, seed)
+        a, b = _jet(node.left, seed), _jet(node.right, seed)
+        return b * a if a.__class__ is Fraction else a * b
     if isinstance(node, Div):
-        return _named(node, operator.truediv, _jet(node.left, seed), _jet(node.right, seed))
+        a, b = _jet(node.left, seed), _jet(node.right, seed)
+        if b.__class__ is Fraction:
+            if not b:
+                b = _lifted(b, seed)
+            elif a.__class__ is Fraction:
+                return a / b
+        return _named(node, operator.truediv, a, b)
     if isinstance(node, PowInt):
-        return _named(node, operator.pow, _jet(node.base, seed), node.exponent)
+        base = _jet(node.base, seed)
+        if base.__class__ is Fraction:
+            if base or node.exponent >= 0:
+                return base ** node.exponent
+            base = _lifted(base, seed)
+        return _named(node, operator.pow, base, node.exponent)
     if isinstance(node, PowReal):
         alpha = node.exponent if seed.is_exact else node.exponent.to_float()
-        return _named(node, Jet.pow_real, _jet(node.base, seed), alpha)
+        return _named(node, Jet.pow_real, _lifted(_jet(node.base, seed), seed), alpha)
     if isinstance(node, Apply):
-        return _named(node, getattr(Jet, node.fn), _jet(node.arg, seed))
+        return _named(node, getattr(Jet, node.fn), _lifted(_jet(node.arg, seed), seed))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _lifted(value: Jet | Fraction, seed: Jet) -> Jet:
+    """``value`` as a jet of the seed's order: a Fraction becomes its constant jet."""
+    return Jet.constant(Scalar(value), seed.order) if value.__class__ is Fraction else value
 
 
 def nth_derivative(e: Expr, k: int, x0: Scalar) -> Scalar:

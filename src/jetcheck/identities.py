@@ -219,12 +219,17 @@ def _product(weight: int | Fraction, factors: Iterable[tuple], mode: str):
     """weight * prod(base ** exponent for base, exponent in factors), formed
     exactly and, in float mode, rounded once: no partial product, such as n!
     alone, has to fit in a float.  A non-finite float factor (inf or nan)
-    raises OverflowError."""
-    total = Fraction(weight)
+    raises OverflowError.  Bases are ints, Fractions or floats and exponents
+    non-negative; the product runs on integer numerators and denominators,
+    reduced once at the end."""
+    num, den = weight.numerator, weight.denominator
     for base, exponent in factors:
         if isinstance(base, float) and not math.isfinite(base):
             raise OverflowError(f"a factor is {base!r}, not a finite number")
-        total *= Fraction(base) ** exponent
+        p, q = base.as_integer_ratio()
+        num *= p ** exponent
+        den *= q ** exponent
+    total = Fraction(num, den)
     return total if mode == "exact" else float(total)
 
 
@@ -342,8 +347,9 @@ def _convolve(tables: Sequence[tuple[Sequence, int]], n: int, mode: str) -> tupl
 
 
 def _binomial_convolution(a: Sequence, b: Sequence, rows: list, entries: Iterable) -> list:
-    """Entries m of (a * b)_m = sum_j C(m, j) a_j b_(m-j), C(m, j) = rows[m][j]."""
-    return [ordered_sum(map(operator.mul, map(operator.mul, rows[m], a), b[m::-1]))
+    """Entries m of (a * b)_m = sum_j C(m, j) a_j b_(m-j), C(m, j) = rows[m][j],
+    each summed in :func:`ordered_sum`'s order."""
+    return [reduce(operator.add, map(operator.mul, map(operator.mul, rows[m], a), b[m::-1]), 0)
             for m in entries]
 
 

@@ -16,6 +16,11 @@ storage (:meth:`Jet.cleared` hands it out), the float operations in the
 order Scalar arithmetic would use; :attr:`Jet.coeffs` is a read-only Scalar
 view at the library's edge, built on each read.
 
+A jet also takes a number operand of its mode (an int, a Fraction or a
+Scalar).  An exact number stays a rational: ``+`` and ``-`` shift coefficient
+0 over the common denominator, ``*`` and ``/`` scale the stored integers and
+the denominator, so no constant jet and no Cauchy product is formed.
+
 In exact mode every operation is exact rational arithmetic; the elementary
 transcendental functions (exp, log, sin, cos, sqrt, and real powers with
 non-integer exponent) are float-mode only, because their leading values are
@@ -54,13 +59,14 @@ def ordered_sum(terms: Iterable):
 
 def coefficient(a: Sequence, b: Sequence, m: int):
     """[t^m] of the product of two coefficient lists that both reach index m,
-    summed over a[j] * b[m-j] for j = 0..m."""
-    return ordered_sum(map(operator.mul, a, b[m::-1]))
+    summed over a[j] * b[m-j] for j = 0..m in :func:`ordered_sum`'s order."""
+    return reduce(operator.add, map(operator.mul, a, b[m::-1]), 0)
 
 
 def series_mul(a: Sequence, b: Sequence) -> list:
-    """The Cauchy product of two coefficient lists, truncated to the length of a."""
-    return [coefficient(a, b, m) for m in range(len(a))]
+    """The Cauchy product of two coefficient lists, truncated to the length of a;
+    each entry is :func:`coefficient`'s sum, inlined."""
+    return [reduce(operator.add, map(operator.mul, a, b[m::-1]), 0) for m in range(len(a))]
 
 
 def clear_denominators(fractions: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -178,10 +184,8 @@ class Jet:
         if self.is_exact != other.is_exact:
             raise ModeError("cannot combine exact and float jets")
 
-    def _termwise(self, other: object, op) -> Jet:
+    def _termwise(self, other: Jet, op) -> Jet:
         """op on matching coefficients of two jets, over their common denominator."""
-        if not isinstance(other, Jet):
-            return NotImplemented
         self._check_compatible(other)
         a, b, da, db = self._values, other._values, self._den, other._den
         if da != db:
@@ -189,24 +193,68 @@ class Jet:
             a, b, da = [v * (den // da) for v in a], [v * (den // db) for v in b], den
         return Jet._of([op(x, y) for x, y in zip(a, b)], da)
 
-    def _scaled(self, other: object, op) -> Jet:
-        """op(coefficient, other) for a Scalar or int ``other`` in this jet's mode."""
+    def _number(self, other: object):
+        """``other`` as a plain number in this jet's mode: a Scalar's value, a
+        Fraction, or an int (a float for a float jet); NotImplemented for any
+        other operand."""
         if isinstance(other, Scalar):
-            if other.is_exact != self.is_exact:
-                raise ModeError(f"cannot combine a {self.mode} jet with a {other.mode} scalar")
             other = other.value
-        elif not isinstance(other, int) or isinstance(other, bool):
+        elif isinstance(other, bool) or not isinstance(other, (int, Fraction)):
             return NotImplemented
+        elif self._den is None and isinstance(other, int):
+            other = float(other)
+        if isinstance(other, float) != (self._den is None):
+            pair = "a float jet with an exact" if self._den is None else "an exact jet with a float"
+            raise ModeError(f"cannot combine {pair} scalar")
+        return other
+
+    def _scaled(self, other: object, op) -> Jet:
+        """op(coefficient, c) for mul or truediv and a number operand c; an
+        exact c = p/q multiplies the stored integers by p (q to divide) and
+        the denominator by q (p to divide)."""
+        c = self._number(other)
+        if c is NotImplemented:
+            return c
         if self._den is None:
-            return Jet._of([op(a, float(other)) for a in self._values], None)
-        c = op(Fraction(1), other)
-        return Jet._of([a * c.numerator for a in self._values], self._den * c.denominator)
+            return Jet._of([op(a, c) for a in self._values], None)
+        num, den = c.numerator, c.denominator
+        if op is operator.truediv:
+            if not num:
+                raise ZeroDivisionError("division of a jet by zero")
+            num, den = den, num
+        return Jet._of([a * num for a in self._values], self._den * den)
+
+    def _shifted(self, other: object, op) -> Jet:
+        """op(self, c) for add or sub and a number operand c; a float jet takes
+        the termwise route with c's constant jet, for that route's bits (-0.0 + 0.0
+        is 0.0 in its tail)."""
+        c = self._number(other)
+        if c is NotImplemented:
+            return c
+        if self._den is None:
+            return self._termwise(Jet.constant(Scalar(c), self.order), op)
+        values, den, q = self._values, self._den, c.denominator
+        if den % q:
+            lcm = math.lcm(den, q)
+            values, den = [v * (lcm // den) for v in values], lcm
+        return Jet._of([op(values[0], c.numerator * (den // q)), *values[1:]], den)
 
     def __add__(self, other: object) -> Jet:
-        return self._termwise(other, operator.add)
+        if isinstance(other, Jet):
+            return self._termwise(other, operator.add)
+        return self._shifted(other, operator.add)
+
+    def __radd__(self, other: object) -> Jet:
+        return self._shifted(other, operator.add)
 
     def __sub__(self, other: object) -> Jet:
-        return self._termwise(other, operator.sub)
+        if isinstance(other, Jet):
+            return self._termwise(other, operator.sub)
+        return self._shifted(other, operator.sub)
+
+    def __rsub__(self, other: object) -> Jet:
+        # c - a is -a + c, bit for bit in floats too: IEEE subtraction adds the negation
+        return (-self)._shifted(other, operator.add)
 
     def __neg__(self) -> Jet:
         return Jet._of([-a for a in self._values], self._den)
@@ -254,11 +302,10 @@ class Jet:
                        self._den * b0[n])
 
     def __rtruediv__(self, other: object) -> Jet:
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = Scalar(other if self.is_exact else float(other))
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return Jet.constant(other, self.order) / self
+        c = self._number(other)
+        if c is NotImplemented:
+            return c
+        return Jet.constant(Scalar(c), self.order) / self
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Jet):
@@ -315,6 +362,8 @@ class Jet:
     def _sin_cos(self) -> tuple[Jet, Jet]:
         self._require_float("sin/cos")
         a = self._values
+        if not math.isfinite(a[0]):
+            raise DomainError("sin/cos requires a finite value at the expansion point")
         s, c = [math.sin(a[0])], [math.cos(a[0])]
         for k in range(1, len(a)):
             s.append(ordered_sum(a[j] * c[k - j] * j for j in range(1, k + 1)) / k)

@@ -1,6 +1,7 @@
 """Seeded random generators shared across the equivalence and acceptance
-tests, and the composition-enumeration reference for the verifiers'
-left-hand sides.
+tests, the composition-enumeration reference for the verifiers'
+left-hand sides, and reference routes for the jet evaluator and for the
+exact right-hand-side product.
 
 Everything here is driven by an explicit ``random.Random`` so tests are
 reproducible; hypothesis-based strategies live in the test modules that use
@@ -10,6 +11,7 @@ them.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -23,14 +25,16 @@ from jetcheck.exprs import (
     Mul,
     Neg,
     PowInt,
+    PowReal,
     Sub,
     Var,
+    _mode_for,
+    _named,
     add,
     const,
     mul,
     pow_int,
 )
-from jetcheck.identities import _mode_for
 from jetcheck.numeric import (
     DomainError,
     compositions,
@@ -234,3 +238,46 @@ REFERENCES = {
     "power_family_check": reference_power_family,
     "exp_family_check": reference_exp_family,
 }
+
+
+# Reference routes ------------------------------------------------------------
+
+
+def reference_eval_jet(e: Expr, x0: Scalar, order: int) -> Jet:
+    """eval_jet with every constant a constant jet and every node a jet-by-jet
+    operation, in both modes: the route that eval_jet, which keeps exact
+    constants as numbers, must agree with."""
+    x0, mode = _mode_for(x0, (e,))
+    seed = Jet.variable(x0.to_float() if mode == "float" else x0, order)
+
+    def walk(node: Expr) -> Jet:
+        if isinstance(node, Const):
+            return Jet.constant(node.value if mode == "exact" else node.value.to_float(), order)
+        if isinstance(node, Var):
+            return seed
+        if isinstance(node, Neg):
+            return -walk(node.arg)
+        if isinstance(node, (Add, Sub, Mul)):
+            op = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}[type(node)]
+            return op(walk(node.left), walk(node.right))
+        if isinstance(node, Div):
+            return _named(node, operator.truediv, walk(node.left), walk(node.right))
+        if isinstance(node, PowInt):
+            return _named(node, operator.pow, walk(node.base), node.exponent)
+        if isinstance(node, PowReal):
+            alpha = node.exponent if mode == "exact" else node.exponent.to_float()
+            return _named(node, Jet.pow_real, walk(node.base), alpha)
+        return _named(node, getattr(Jet, node.fn), walk(node.arg))
+
+    return walk(e)
+
+
+def reference_product(weight, factors, mode: str):
+    """identities._product one Fraction at a time: weight times each
+    Fraction(base) ** exponent, rounded once in float mode."""
+    total = Fraction(weight)
+    for base, exponent in factors:
+        if isinstance(base, float) and not math.isfinite(base):
+            raise OverflowError(f"a factor is {base!r}, not a finite number")
+        total *= Fraction(base) ** exponent
+    return total if mode == "exact" else float(total)

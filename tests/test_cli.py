@@ -235,6 +235,16 @@ def test_non_finite_factor_is_a_numeric_overflow_naming_the_value(argv):
     assert "inf" in err or "nan" in err
 
 
+@pytest.mark.parametrize("fn", ["sin", "cos"])
+def test_sin_cos_of_an_overflowed_value_names_the_node(fn):
+    # x*x at 1e200 overflows to inf, where sin and cos have no value
+    code, out, err = invoke("verify", "baran", "--n", "1", "--f", f"{fn}(x*x)", "--g", "x",
+                            "--at", "1" + "0" * 200 + ".0")
+    assert code == 2 and out == ""
+    assert err == (f"error: sin/cos requires a finite value at the expansion point "
+                   f"in '{fn}(x*x)'\n")
+
+
 def test_large_float_baran_ends_in_a_report():
     # this instance once died in float(200!) with a traceback and exit code 1
     code, out, err = invoke(

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     pick_float_point,
     rand_rational_closed,
     rand_transcendental,
+    reference_eval_jet,
     rel_close,
 )
 from jetcheck import exprs
@@ -24,6 +26,7 @@ from jetcheck.exprs import (
     Mul,
     Neg,
     PowInt,
+    PowReal,
     Sub,
     Var,
     constant_value,
@@ -215,6 +218,58 @@ def test_oracle_jet_equivalence_float():
             b = float(nth_derivative(e, k, x0))
             assert rel_close(a, b, 1e-9), (to_text(e), k, a, b)
         checked += 1
+
+
+# Trees whose constant-only subtrees cover the forms that stay numbers in exact
+# mode: a negated constant, a constant power (0^-k too), a constant quotient
+# (/0 too), a jet over a constant, a constant over a jet and a constant minus
+# a jet, with a real power or a function of a constant among them.
+SMALL_CONSTANTS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)).map(
+    lambda q: Const(Scalar(q)))
+CONSTANT_SUBTREES = st.recursive(SMALL_CONSTANTS, lambda sub: st.one_of(
+    st.builds(Neg, sub),
+    st.builds(PowInt, sub, st.integers(-3, 3)),
+    *(st.builds(node, sub, sub) for node in (Add, Sub, Mul, Div)),
+), max_leaves=4)
+MIXED_TREES = st.recursive(st.one_of(st.just(Var()), CONSTANT_SUBTREES), lambda sub: st.one_of(
+    st.builds(Neg, sub),
+    st.builds(PowInt, sub, st.integers(-3, 3)),
+    *(st.builds(node, sub, sub) for node in (Add, Sub, Mul, Div)),
+    st.builds(PowReal, sub, st.just(Scalar.exact(1, 2))),
+    st.builds(Apply, st.sampled_from(("exp", "sin")), sub),
+), max_leaves=8)
+
+
+def _outcome(call):
+    """A jet's mode and stored values (floats by their hex), or the type and text of the error."""
+    try:
+        jet = call()
+    except (DomainError, ModeError, ZeroDivisionError, OverflowError) as err:
+        return type(err), str(err)
+    values, den = jet.cleared()
+    return jet.mode, [v.hex() if isinstance(v, float) else v for v in values], den
+
+
+@settings(deadline=None, max_examples=400)
+@given(MIXED_TREES, st.fractions(-2, 2, max_denominator=3), st.integers(0, 4), st.booleans())
+def test_eval_jet_agrees_with_the_constant_jet_evaluator(e, x, order, in_float):
+    x0 = Scalar(float(x)) if in_float else Scalar(x)
+    got = _outcome(lambda: eval_jet(e, x0, order))
+    assert got == _outcome(lambda: reference_eval_jet(e, x0, order)), to_text(e)
+
+
+def test_exact_constants_meet_jets_through_their_operators():
+    x0 = Scalar.exact(3, 2)
+    for text in ("-(1/2)^3", "(2/3)/(4/5)*x", "x/(4/5)", "(2/3)/x", "2-x", "x-2", "2+x",
+                 "-3/2*x^2+(2/3)/(4/5)*x-(1/2)^3", "(1-1)^0*x", "(-2)^(-3)+x"):
+        e = parse(text)
+        assert eval_jet(e, x0, 4) == reference_eval_jet(e, x0, 4), text
+    for text, node in (("x/(1-1)", "x/(1 - 1)"), ("(1-1)^(-1)*x", "(1 - 1)^-1"),
+                       ("x*(0)^(-2)", "0^-2"), ("(2-2)/(1-1)", "(2 - 2)/(1 - 1)")):
+        with pytest.raises(DomainError, match=re.escape(f"vanishes at the expansion point in '{node}'") + "$"):
+            eval_jet(parse(text), x0, 2)
+    with pytest.raises(ModeError, match="^exp of an exact jet"):
+        eval_jet(parse("exp(1/2)*x"), x0, 2)
 
 
 def test_domain_errors_name_the_node():

@@ -194,6 +194,11 @@ def test_float_domain_errors():
                                      f"non-integer real power {not_positive}")
     for j in (float_jet(1000.0, 1.0), float_jet(1000.0)):
         _raises_domain_error(j.exp, "exp overflow at the expansion point")
+    for lead in (math.inf, -math.inf, math.nan):
+        for order in (0, 1, 3):
+            j = float_jet(lead, *[1.0] * order)
+            for fn in (j.sin, j.cos):
+                _raises_domain_error(fn, "sin/cos requires a finite value at the expansion point")
     # order-0 jets at a positive point hold the function's value alone
     assert float_jet(2.0).log().cleared() == ((math.log(2.0),), 1)
     assert float_jet(2.0).sqrt().cleared() == ((math.sqrt(2.0),), 1)
@@ -321,6 +326,58 @@ def test_mixing_modes_raises_mode_error():
     with pytest.raises(ModeError):
         Jet([Scalar.inexact(1.0), Scalar.exact(2)])
     assert float_jet(1.0, 2.0) != exact_jet(1, 2)
+
+
+exact_numbers = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=12),
+                          exact_scalars)
+
+
+@settings(deadline=None, max_examples=200)
+@given(exact_jets3, exact_numbers)
+def test_number_operands_act_as_constant_jets(a, c):
+    const = Jet.constant(c if isinstance(c, Scalar) else Scalar(c), a.order)
+    assert a + c == a + const and c + a == const + a
+    assert a - c == a - const and c - a == const - a
+    assert a * c == a * const and c * a == const * a
+    for j in (a + c, c - a, a * c):
+        assert _is_least(j)
+    if c != 0:
+        assert a / c == a / const and _is_least(a / c)
+    if a.value != 0:
+        assert c / a == const / a
+
+
+def test_number_operands_of_float_jets_keep_the_termwise_bits():
+    a = float_jet(1.5, -0.0, 0.0, math.inf)
+    for c in (2, -3, Scalar.inexact(0.25), Scalar.inexact(-0.0)):
+        const = Jet.constant(c if isinstance(c, Scalar) else Scalar.inexact(c), a.order)
+        for got, want in ((a + c, a + const), (c + a, const + a), (a - c, a - const),
+                          (c - a, const - a)):
+            assert [v.hex() for v in got.cleared()[0]] == [v.hex() for v in want.cleared()[0]]
+
+
+def test_number_operand_errors():
+    e, f = exact_jet(1, 2), float_jet(1.0, 2.0)
+    for jet in (e, f):
+        with pytest.raises(ZeroDivisionError):
+            jet / 0
+    with pytest.raises(ZeroDivisionError):
+        e / Fraction(0)
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__truediv__",
+               "__rtruediv__"):
+        with pytest.raises(ModeError, match="^cannot combine a float jet with an exact scalar$"):
+            getattr(f, op)(Fraction(1, 2))
+        with pytest.raises(ModeError, match="^cannot combine a float jet with an exact scalar$"):
+            getattr(f, op)(Scalar.exact(1, 2))
+        with pytest.raises(ModeError, match="^cannot combine an exact jet with a float scalar$"):
+            getattr(e, op)(Scalar.inexact(0.5))
+    for jet in (e, f):
+        for bad in (0.5, True, "1", None):
+            for apply in (lambda: jet + bad, lambda: bad + jet, lambda: jet - bad,
+                          lambda: bad - jet, lambda: jet * bad, lambda: jet / bad):
+                with pytest.raises(TypeError) as info:
+                    apply()
+                assert not isinstance(info.value, ModeError)
 
 
 def test_stored_coefficients_are_an_immutable_tuple():

@@ -13,8 +13,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import REFERENCES, rand_polynomial, reference_convolve
+from helpers import REFERENCES, rand_polynomial, reference_convolve, reference_product
 from jetcheck import identities
 from jetcheck.exprs import Div, Mul, X, add, const, eval_scalar, neg, pow_int, sub
 from jetcheck.identities import IDENTITIES, SweepConfig, TheoremInstance, sweep
@@ -401,3 +403,39 @@ def test_float_kernel_is_bit_identical_to_a_full_fold():
                 assert [v.hex() for v in got] == [v.hex() for v in _full_fold(tables, n)]
                 checked += 1
     assert checked == 180
+
+
+# identities._product against the Fraction-by-Fraction route: the same
+# rational in exact mode, the same bits in float mode, the same error for a
+# non-finite factor.
+FLOAT_FACTORS = st.one_of(
+    st.sampled_from((5e-324, -5e-324, 1e308, -1e308, -0.0, 0.0, 1.0, -2.5)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+EXACT_FACTORS = st.one_of(st.integers(-7, 7), st.fractions(max_denominator=40))
+WEIGHTS = st.one_of(st.integers(0, 10 ** 30), st.fractions(0, 10 ** 6, max_denominator=10 ** 9))
+
+
+@settings(deadline=None, max_examples=300)
+@given(WEIGHTS, st.lists(st.tuples(EXACT_FACTORS, st.integers(0, 40)), max_size=4),
+       st.lists(st.tuples(FLOAT_FACTORS, st.integers(0, 40)), max_size=4))
+def test_product_matches_the_fraction_route(weight, exact, floats):
+    assert identities._product(weight, exact, "exact") == reference_product(weight, exact, "exact")
+
+    def outcome(product):
+        try:
+            return product(weight, floats, "float").hex()
+        except OverflowError as err:  # a product beyond the float range
+            return str(err)
+
+    assert outcome(identities._product) == outcome(reference_product)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_product_names_a_non_finite_factor(bad):
+    factors = [(2.0, 3), (bad, 1)]
+    with pytest.raises(OverflowError) as want:
+        reference_product(6, factors, "float")
+    with pytest.raises(OverflowError) as got:
+        identities._product(6, factors, "float")
+    assert str(got.value) == str(want.value) == f"a factor is {bad!r}, not a finite number"

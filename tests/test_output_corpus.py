@@ -4,9 +4,10 @@ Each invocation runs through ``cli.run``; the SHA-256 of its exit code,
 standard output and standard error is compared with the committed table in
 ``output_corpus.json``.  The corpus covers every README example, every
 verify/binomid/lemma kind in text and JSON, exact and ``--float``, every
-elementary recurrence and non-integer real powers at n >= 10, a large
-float instance, the README soak sweep and a ``--negative`` sweep, so a
-refactor that changes a single output byte fails here.
+elementary recurrence and non-integer real powers at n >= 10, exact
+constants that scale, shift and divide jets and zero constants as divisors,
+a large float instance, the README soak sweep and a ``--negative`` sweep, so
+a refactor that changes a single output byte fails here.
 
 The module needs no pytest: ``python tests/test_output_corpus.py`` prints the
 table for the running interpreter, which compares Python versions with a
@@ -99,6 +100,16 @@ OTHERS = [
     ["binomid", "eq4", "--n", "2", "--r", "3", "--s", "1,1", "--c", "1,-1", "--alpha", "1,2",
      "--beta", "1"],
     ["verify", "leibniz_product", "--n", "2", "--f", "1/(x-1)", "--g", "x", "--at", "1"],
+    # exact constants meeting jets: scaled, shifted, over a jet and as powers;
+    # a zero constant as a divisor or a base with a negative exponent
+    ["verify", "baran", "--n", "6", "--f", "-3/2*x^2+(2/3)/(4/5)*x-(1/2)^3",
+     "--g", "2-x/3+(-(1/4))*x^2", "--at", "3/2", "--json"],
+    ["lemma", "--f", "(2/3)/x-2/3", "--n", "4", "--at", "1"],
+    ["verify", "leibniz_product", "--n", "5", "--f", "2-x/(3/4)", "--g", "(1/2)^(-2)*x+(-2)^3",
+     "--at", "-1/3"],
+    ["verify", "baran", "--n", "2", "--f", "x/(1-1)", "--g", "x", "--at", "1"],
+    ["lemma", "--f", "(1-1)^(-1)*x", "--n", "2", "--at", "0"],
+    ["verify", "baran", "--n", "2", "--f", "x", "--g", "x*(0)^(-2)", "--at", "2", "--json"],
     # sweeps: the README soak in text and JSON, and a negative sweep
     ["sweep", "--seed", "3", "--trials", "400", "--max-n", "5", "--coeff-bound", "5",
      "--degree-bound", "4"],
