@@ -39,12 +39,14 @@ The first six left-hand sides are multinomial sums over |k| = n of
 multinomial(n,k) * prod_i T_i[k_i], one table T_i[0..n] per factor.  Each
 verifier builds its tables; one kernel, :func:`_convolve`, folds them by
 binomial convolution in O(r n^2) steps instead of one jet product per factor
-for each of the C(n+r-1, r-1) compositions.  In exact mode each table is
-cleared to Python integers over one denominator (:func:`_cleared`), so the
-fold is integer arithmetic and the kernel divides once for the lhs and once
-for the scale; float tables are the same floats over 1.  Jets hold that
-form (:meth:`Jet.cleared`), so :func:`_cleared` clears only scalar inputs.
-The last fold forms only entry n, the one an identity reads.
+for each of the C(n+r-1, r-1) compositions.  A table is (values, d, e) with
+T[k] = values[k] / (d e^k): in exact mode Python integers over the
+denominator each entry has by its own algebra (a power of g over d_g^k has
+e = d_g), float tables the same floats with d = e = 1.  Only the kernel puts
+the tables over one denominator, so the fold is integer arithmetic and it
+divides once for the lhs and once for the scale.  Jets hold integers over
+one denominator (:meth:`Jet.cleared`), so :func:`_cleared` clears only
+scalar inputs.  The last fold forms only entry n, the one an identity reads.
 
 Between its edges the module works on plain values: ``Fraction`` in exact
 mode, ``float`` in float mode.  :func:`_check_sizes` makes list inputs
@@ -318,10 +320,10 @@ def _cleared(values: Sequence, mode: str) -> tuple[list, int]:
     return clear_denominators(values) if mode == "exact" else (list(values), 1)
 
 
-def _convolve(tables: Sequence[tuple[Sequence, int]], n: int, mode: str) -> tuple:
+def _convolve(tables: Sequence[tuple[Sequence, int, int]], n: int, mode: str) -> tuple:
     """The sum over |k| = n of multinomial(n, k) * prod_i T_i[k_i], and its
     cancellation scale (the same sum over the absolute values), for tables
-    (values, d) of entries k = 0..n with T[k] = values[k] / d.
+    (values, d, e) of entries k = 0..n with T[k] = values[k] / (d e^k).
 
     The sum is n! [t^n] prod_i sum_k T_i[k] t^k / k!, a labelled product of
     exponential generating functions.  Folding the tables with the binomial
@@ -329,18 +331,20 @@ def _convolve(tables: Sequence[tuple[Sequence, int]], n: int, mode: str) -> tupl
     therefore gives it exactly, in O(r n^2) operations instead of one
     product per composition; its last fold forms only entry n.  The weights
     are positive integers, so the same fold over |values| gives the scale.
-    Exact tables hold integers over one positive denominator, so exact mode
-    divides once for each; as only entry n is read, a table may carry a
-    denominator another table's entries need.
+    As every composition has |k| = n, entry k of table i times (E / e_i)^k,
+    with E = lcm(e_i), puts every product over prod(d_i) E^n, so exact mode
+    divides once for each; float tables have d = e = 1.
     """
     rows = [[math.comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
-    lhs, den = tables[0]
+    common = math.lcm(*[e for _, _, e in tables])
+    den = common ** n * math.prod(d for _, d, _ in tables)
+    lhs, *rest = [[v * (common // e) ** k for k, v in enumerate(values)]
+                  for values, _, e in tables]
     mag = [abs(v) for v in lhs]
-    for i, (values, d) in enumerate(tables[1:], 2):
+    for i, values in enumerate(rest, 2):
         entries = range(n + 1) if i < len(tables) else (n,)
         lhs = _binomial_convolution(lhs, values, rows, entries)
         mag = _binomial_convolution(mag, [abs(v) for v in values], rows, entries)
-        den *= d
     if mode == "exact":
         return Fraction(lhs[-1], den), Fraction(mag[-1], den)
     return lhs[-1], mag[-1]
@@ -353,29 +357,22 @@ def _binomial_convolution(a: Sequence, b: Sequence, rows: list, entries: Iterabl
             for m in entries]
 
 
-def _powers(g: Sequence, d: int, n: int) -> tuple[list[list], int]:
-    """g^0 .. g^n, each truncated to the order of g, and the denominator d of g."""
+def _powers(g: Sequence, n: int) -> list[list]:
+    """g^0 .. g^n, each truncated to the order of g."""
     powers = [[1] + [0] * (len(g) - 1)]
     for _ in range(n):
         powers.append(series_mul(powers[-1], g))
-    return powers, d
+    return powers
 
 
-def _scaled(c, values: Sequence, n: int, mode: str, d: int = 1, e: int = 1) -> tuple:
-    """The table c^k values[k] / (d e^k) for k = 0..n: with c = c_num / c_den,
-    c_num^k values[k] (e c_den)^(n-k) over d (e c_den)^n."""
-    (c,), c_den = _cleared([c], mode)
-    e *= c_den
-    return [c ** k * v * e ** (n - k) for k, v in enumerate(values)], d * e ** n
-
-
-def _derivative_table(f: tuple, g_powers: tuple, s: int, n: int, mode: str, c=1) -> tuple:
-    """[c^k (f * g^k)^(s)(x0) for each k]: one dot product per entry, because
-    only the s-th coefficient of f * g^k is read; f from :meth:`Jet.cleared`,
-    g_powers from :func:`_powers`."""
-    (f, d), (g_powers, d_g) = f, g_powers
-    weight = math.factorial(s)
-    return _scaled(c, [weight * coefficient(f, p, s) for p in g_powers], n, mode, d, d_g)
+def _derivative_table(f: tuple, g_powers: list, d_g: int, s: int, mode: str, c=1) -> tuple:
+    """The table c^k (f * g^k)^(s)(x0): with c = c_num / c_den, entry k is
+    c_num^k s! [t^s](F G^k) over d_f (d_g c_den)^k, one dot product each,
+    because only the s-th coefficient of f * g^k is read; f = (F, d_f) from
+    :meth:`Jet.cleared`, g_powers the powers of G from :func:`_powers`."""
+    (f, d), ((c,), c_den) = f, _cleared([c], mode)
+    values = [math.factorial(s) * coefficient(f, p, s) for p in g_powers]
+    return [c ** k * v for k, v in enumerate(values)], d, d_g * c_den
 
 
 def _collapse_rhs(n: int, s: MultiIndex, f: Sequence[tuple], slopes: Iterable[tuple], mode: str):
@@ -408,7 +405,8 @@ def theorem1_verify(
     if note is not None:
         return _report("theorem1", params, mode, tol, "precondition_violated", (note,))
 
-    tables = [_derivative_table(fi, _powers(*gi, n), si, n, mode) for fi, gi, si in zip(f, g, s)]
+    tables = [_derivative_table(fi, _powers(cg, n), dg, si, mode)
+              for fi, (cg, dg), si in zip(f, g, s)]
     lhs, scale = _convolve(tables, n, mode)
     rhs = _collapse_rhs(n, s, f, [(_at(gi, 1, mode), si) for gi, si in zip(g, s)], mode)
     return _finish("theorem1", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
@@ -434,9 +432,9 @@ def _corollary2_core(
 
     f = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(f, s)]
     g = eval_jet(g, x0, max(s), mode=mode).cleared()
-    g_powers = _powers(*g, n)
+    g_powers = _powers(g[0], n)
     lhs, scale = _convolve(
-        [_derivative_table(fi, g_powers, si, n, mode, ci) for fi, ci, si in zip(f, c, s)], n, mode
+        [_derivative_table(fi, g_powers, g[1], si, mode, ci) for fi, ci, si in zip(f, c, s)], n, mode
     )
     # g_i = c_i g, so g_i'^(s_i) = c_i^(s_i) g'^(s_i).
     rhs = _collapse_rhs(n, s, f, [*zip(c, s), (_at(g, 1, mode), s.weight)], mode)
@@ -504,11 +502,10 @@ def baran_verify(
     x0, mode = _mode_for(x0, (f, g), (rhs_shift,))
     f, g = (eval_jet(e, x0, n, mode=mode).cleared() for e in (f, g))
     # The 1/n! cancels the n! of the n-th derivative, leaving [t^n](f g^j).
-    # G_0^k / d_g^k times [t^n](F G^(n-k)) / (d_f d_g^(n-k)) is over d_f d_g^n for every k.
     (cf, df), (cg, dg) = f, g
     lhs, scale = _convolve(
-        [([(-cg[0]) ** k for k in range(n + 1)], 1),
-         ([coefficient(cf, p, n) for p in _powers(cg, dg, n)[0]], df * dg ** n)], n, mode
+        [([(-cg[0]) ** k for k in range(n + 1)], 1, dg),
+         ([coefficient(cf, p, n) for p in _powers(cg, n)], df, dg)], n, mode
     )
     rhs = _product(1, [(_at(f, 0, mode), 1), (_at(g, 1, mode), n)], mode)
     return _finish("baran", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
@@ -533,13 +530,12 @@ def leibniz_product_verify(
     params = _params(n=n, f=f, g=g, x0=x0)
     x0, mode = _mode_for(x0, (f, g), (rhs_shift,))
     (cf, df), (cg, dg) = (eval_jet(e, x0, n, mode=mode).cleared() for e in (f, g))
-    # x = (p + q t) / q; the outer factor x0 goes into the first table, so
-    # each term is over q^(n+1) d_f d_g, and so is [t^n] x^(n+1) f g.
+    # x = (p + q t) / q; the outer factor x0 = p / q goes into the first table.
     x, q = Jet.variable(x0, n).cleared()
     p = x[0]
     lhs, scale = _convolve(
-        [([p * v for v in _monomial_table(cf, p, q)], q ** (n + 1) * df),
-         (_monomial_table(cg, p, q), dg)], n, mode
+        [([p * v for v in _monomial_table(cf, p, q)], q * df, q),
+         (_monomial_table(cg, p, q), dg, q)], n, mode
     )
     top = series_mul(series_mul(series_pow(x, n + 1), cf), cg)[n]
     rhs = _product(Fraction(math.factorial(n), q ** (n + 1) * df * dg), [(top, 1)], mode)
@@ -587,10 +583,11 @@ def _family_check(
     (*a, b), q = _cleared([*alpha, beta], mode)
     tables = []
     for ai, ci, si in zip(a, c, s):
-        # Exact entries stay integers over den; each float entry is divided by it first.
-        den, w = (entry_den(si, q), 1) if mode == "exact" else (1, entry_den(si, q))
-        values = [entry(ai + k * b, si, q) for k in range(n + 1)]
-        tables.append(_scaled(ci, values if w == 1 else [v / w for v in values], n, mode, den))
+        (ci,), c_den = _cleared([ci], mode)
+        den, values = entry_den(si, q), [entry(ai + k * b, si, q) for k in range(n + 1)]
+        if mode == "float":  # float tables are over 1: each entry is divided first
+            values, den = [v / den for v in values], 1
+        tables.append(([ci ** k * v for k, v in enumerate(values)], den, c_den))
     lhs, scale = _convolve(tables, n, mode)
     value, notes = rhs([(beta, n), *zip(c, s)], mode)
     return _finish(identity, params, mode, lhs, value, scale, tol, notes, rhs_shift)

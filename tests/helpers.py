@@ -15,7 +15,7 @@ import operator
 import random
 from fractions import Fraction
 
-from jetcheck import Jet, Scalar, eval_jet, nth_derivative
+from jetcheck import Jet, Scalar, TheoremInstance, eval_jet, nth_derivative
 from jetcheck.exprs import (
     Add,
     Apply,
@@ -33,6 +33,7 @@ from jetcheck.exprs import (
     add,
     const,
     mul,
+    neg,
     pow_int,
 )
 from jetcheck.numeric import (
@@ -41,6 +42,7 @@ from jetcheck.numeric import (
     generalized_binomial,
     multinomial,
 )
+from jetcheck.parsing import parse
 
 TRANSCENDENTALS = ("exp", "log", "sin", "cos", "sqrt")
 
@@ -54,6 +56,24 @@ def rand_polynomial(rng: random.Random, degree_bound: int = 4, coeff_bound: int 
     for j in range(rng.randint(0, degree_bound) + 1):
         poly = add(poly, mul(const(Scalar(rand_fraction(rng, coeff_bound, coeff_bound))), pow_int(Var(), j)))
     return poly
+
+
+def quadratic_instance(n: int, r: int) -> TheoremInstance:
+    """theorem1 with degree-2 polynomials, s = (n/r, ..., n/r) and x0 = 3/2."""
+    rng = random.Random(f"wide:{n}:{r}:1")
+
+    def quadratic():
+        a, b, c = (Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3))
+        return parse(f"{a} + ({b})*x + ({c or 1})*x^2")
+
+    f = tuple(quadratic() for _ in range(r))
+    g_head = [quadratic() for _ in range(r - 1)]
+    g_sum = const(0)
+    for e in g_head:
+        g_sum = add(g_sum, e)
+    return TheoremInstance(
+        n=n, r=r, f=f, g=tuple(g_head + [neg(g_sum)]), s=[n // r] * r, x0=Scalar.exact(3, 2),
+    )
 
 
 def rand_rational_closed(rng: random.Random, depth: int) -> Expr:
@@ -154,11 +174,14 @@ def _composition_sum(n, r, mode, factor):
 
 
 def reference_convolve(tables, n):
-    """The kernel's exact lhs and scale for integer tables (values, d), with
-    entry k of table i read as values[k] / d, as Fractions."""
-    lhs, scale = _composition_sum(
-        n, len(tables), "exact", lambda i, k: Scalar(Fraction(tables[i][0][k], tables[i][1]))
-    )
+    """The kernel's exact lhs and scale for integer tables (values, d, e), with
+    entry k of table i read as values[k] / (d e^k), as Fractions."""
+
+    def entry(i, k):
+        values, d, e = tables[i]
+        return Scalar(Fraction(values[k], d * e ** k))
+
+    lhs, scale = _composition_sum(n, len(tables), "exact", entry)
     return lhs.value, scale.value
 
 

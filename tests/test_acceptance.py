@@ -16,6 +16,7 @@ from fractions import Fraction
 from helpers import (
     pick_exact_point,
     pick_float_point,
+    quadratic_instance,
     rand_polynomial,
     rand_rational_closed,
     rand_transcendental,
@@ -237,34 +238,23 @@ def test_theorem1_n12_r6_within_budget():
         assert report.rhs != 0
 
 
-def _quadratic_instance(n: int, r: int) -> TheoremInstance:
-    """theorem1 with degree-2 polynomials, s = (n/r, ..., n/r) and x0 = 3/2."""
-    rng = random.Random(f"wide:{n}:{r}:1")
-
-    def quadratic():
-        a, b, c = (Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3))
-        return parse(f"{a} + ({b})*x + ({c or 1})*x^2")
-
-    f = tuple(quadratic() for _ in range(r))
-    g_head = [quadratic() for _ in range(r - 1)]
-    g_sum = const(0)
-    for e in g_head:
-        g_sum = add(g_sum, e)
-    return TheoremInstance(
-        n=n, r=r, f=f, g=tuple(g_head + [neg(g_sum)]), s=[n // r] * r, x0=Scalar.exact(3, 2),
-    )
-
-
 def test_theorem1_n80_r10_within_budget():
     with criterion("theorem1 at n = 80, r = 10 with |s| = n, degree-2 polynomials", 0.5):
-        report = theorem1_verify(_quadratic_instance(80, 10))
+        report = theorem1_verify(quadratic_instance(80, 10))
         assert report.verdict == "pass"
         assert report.residual.as_ratio_text() == "0/1"
 
 
 def test_theorem1_n160_r10_within_budget():
     with criterion("theorem1 at n = 160, r = 10 with |s| = n, degree-2 polynomials", 3.0):
-        report = theorem1_verify(_quadratic_instance(160, 10))
+        report = theorem1_verify(quadratic_instance(160, 10))
+        assert report.verdict == "pass"
+        assert report.residual.as_ratio_text() == "0/1"
+
+
+def test_theorem1_n320_r16_within_budget():
+    with criterion("theorem1 at n = 320, r = 16 with |s| = n, degree-2 polynomials", 8.0):
+        report = theorem1_verify(quadratic_instance(320, 16))
         assert report.verdict == "pass"
         assert report.residual.as_ratio_text() == "0/1"
 

@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REFERENCES, rand_polynomial, reference_convolve, reference_product
+from helpers import (
+    REFERENCES,
+    quadratic_instance,
+    rand_polynomial,
+    reference_convolve,
+    reference_product,
+)
 from jetcheck import identities
 from jetcheck.exprs import Div, Mul, X, add, const, eval_scalar, neg, pow_int, sub
 from jetcheck.identities import IDENTITIES, SweepConfig, TheoremInstance, sweep
@@ -343,23 +349,46 @@ def test_exact_fold_runs_on_integers_and_divides_twice(monkeypatch):
     assert len(entries_are_ints) > 50 and all(entries_are_ints)
 
 
+def test_folded_integers_are_not_padded(monkeypatch):
+    """Each table stays over its own d e^k, so the fold's integers carry no
+    padding: theorem1 at n = 80, r = 10 folds integers of 1089 bits at most;
+    putting every entry over one d e^n would widen them to 2796."""
+    widest = []
+    fold = identities._binomial_convolution
+
+    def watched(a, b, rows, entries):
+        widest.append(max(abs(v).bit_length() for v in (*a, *b)))
+        return fold(a, b, rows, entries)
+
+    monkeypatch.setattr(identities, "_binomial_convolution", watched)
+    assert identities.theorem1_verify(quadratic_instance(80, 10)).verdict == "pass"
+    assert 0 < max(widest) < 1500
+
+
 # The kernel itself: every fold but the last forms entries 0..n, the last only
 # entry n, so the edge cases are the table counts and denominators around it.
+# A table is (values, d, e) with entry k values[k] / (d e^k); dens are the (d, e).
 
 
 def _int_tables(rng, n, dens):
-    return [([rng.randint(-9, 9) for _ in range(n + 1)], d) for d in dens]
+    return [([rng.randint(-9, 9) for _ in range(n + 1)], d, e) for d, e in dens]
 
 
 @pytest.mark.parametrize("n, dens", [
-    (5, (3,)),
-    (6, (2, 5)),
-    (0, (1,)),
-    (0, (2, 3, 5)),
-    (6, (1, 1, 1, 7)),
-    (4, (3, 1, 4)),
+    (5, ((3, 1),)),
+    (6, ((2, 1), (5, 1))),
+    (0, ((1, 1),)),
+    (0, ((2, 1), (3, 1), (5, 1))),
+    (6, ((1, 1), (1, 1), (1, 1), (7, 1))),
+    (4, ((3, 1), (1, 1), (4, 1))),
+    (5, ((1, 2), (1, 3), (1, 5))),
+    (6, ((3, 4), (2, 4), (1, 4))),
+    (5, ((2, 6), (1, 1), (5, 10))),
+    (6, ((2, 7),)),
+    (0, ((3, 2), (1, 9), (5, 4))),
 ], ids=["r=1 no fold", "r=2 first fold is last", "n=0 r=1", "n=0 r=3",
-        "only the last table has a denominator", "a middle table without one"])
+        "only the last table has a denominator", "a middle table without one",
+        "coprime e", "equal e", "one e = 1 among others", "r=1 e=7", "n=0 several e"])
 def test_entry_n_kernel_equals_the_composition_reference(n, dens):
     rng = random.Random(f"entry-n:{n}:{dens}")
     for _ in range(10):
@@ -379,7 +408,7 @@ def _full_fold(tables, n):
     entry summed left to right from 0 as C(m, j) * a[j] * b[m-j]."""
     lhs = list(tables[0][0])
     mag = [abs(v) for v in lhs]
-    for values, _ in tables[1:]:
+    for values, _, _ in tables[1:]:
         for acc, b in ((lhs, values), (mag, [abs(v) for v in values])):
             acc[:] = [_left_sum(math.comb(m, j) * acc[j] * b[m - j] for j in range(m + 1))
                       for m in range(n + 1)]
@@ -398,7 +427,7 @@ def test_float_kernel_is_bit_identical_to_a_full_fold():
     for n in range(9):
         for r in range(1, 5):
             for _ in range(5):
-                tables = [([value() for _ in range(n + 1)], 1) for _ in range(r)]
+                tables = [([value() for _ in range(n + 1)], 1, 1) for _ in range(r)]
                 got = identities._convolve(tables, n, "float")
                 assert [v.hex() for v in got] == [v.hex() for v in _full_fold(tables, n)]
                 checked += 1
