@@ -258,22 +258,29 @@ def _diff(e: Expr, memo: dict[int, Expr]) -> Expr:
 
 
 def contains_float(e: Expr) -> bool:
-    """True when the tree carries a float literal (which forces float mode)."""
-    if isinstance(e, Const):
-        return not e.value.is_exact
-    if isinstance(e, Var):
-        return False
-    if isinstance(e, Neg):
-        return contains_float(e.arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return contains_float(e.left) or contains_float(e.right)
-    if isinstance(e, PowInt):
-        return contains_float(e.base)
-    if isinstance(e, PowReal):
-        return (not e.exponent.is_exact) or contains_float(e.base)
-    if isinstance(e, Apply):
-        return contains_float(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    """True when the tree carries a float literal (which forces float mode);
+    an explicit stack, left subtree first, on each node's exact class."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls is Const:
+            if not node.value.is_exact:
+                return True
+        elif cls is Mul or cls is Add or cls is Sub or cls is Div:
+            stack.append(node.right)
+            stack.append(node.left)
+        elif cls is PowInt:
+            stack.append(node.base)
+        elif cls is Neg or cls is Apply:
+            stack.append(node.arg)
+        elif cls is PowReal:
+            if not node.exponent.is_exact:
+                return True
+            stack.append(node.base)
+        elif cls is not Var:
+            raise TypeError(f"not an expression node: {node!r}")
+    return False
 
 
 class _NoPoint(Exception):
@@ -416,23 +423,31 @@ def _jet(node: Expr, seed: Jet) -> Jet | Fraction:
     """:func:`eval_jet` of a subtree, a Fraction for one without x in exact
     mode; ``seed``, the jet of x, fixes order and mode.  Not a closure, so an
     evaluation leaves no reference cycle behind."""
-    if isinstance(node, Const):
+    cls = node.__class__
+    if cls is Var:
+        return seed
+    if cls is Const:
         if seed.is_exact:
             return node.value.value
         return Jet.constant(node.value.to_float(), seed.order)
-    if isinstance(node, Var):
-        return seed
-    if isinstance(node, Neg):
-        return -_jet(node.arg, seed)
-    if isinstance(node, Add):
-        a, b = _jet(node.left, seed), _jet(node.right, seed)
-        return b + a if a.__class__ is Fraction else a + b
-    if isinstance(node, Sub):
-        return _jet(node.left, seed) - _jet(node.right, seed)
-    if isinstance(node, Mul):
+    if cls is Mul:
         a, b = _jet(node.left, seed), _jet(node.right, seed)
         return b * a if a.__class__ is Fraction else a * b
-    if isinstance(node, Div):
+    if cls is Add:
+        a, b = _jet(node.left, seed), _jet(node.right, seed)
+        return b + a if a.__class__ is Fraction else a + b
+    if cls is Sub:
+        return _jet(node.left, seed) - _jet(node.right, seed)
+    if cls is PowInt:
+        base = _jet(node.base, seed)
+        if base.__class__ is Fraction:
+            if base or node.exponent >= 0:
+                return base ** node.exponent
+            base = _lifted(base, seed)
+        return _named(node, operator.pow, base, node.exponent)
+    if cls is Neg:
+        return -_jet(node.arg, seed)
+    if cls is Div:
         a, b = _jet(node.left, seed), _jet(node.right, seed)
         if b.__class__ is Fraction:
             if not b:
@@ -440,17 +455,10 @@ def _jet(node: Expr, seed: Jet) -> Jet | Fraction:
             elif a.__class__ is Fraction:
                 return a / b
         return _named(node, operator.truediv, a, b)
-    if isinstance(node, PowInt):
-        base = _jet(node.base, seed)
-        if base.__class__ is Fraction:
-            if base or node.exponent >= 0:
-                return base ** node.exponent
-            base = _lifted(base, seed)
-        return _named(node, operator.pow, base, node.exponent)
-    if isinstance(node, PowReal):
+    if cls is PowReal:
         alpha = node.exponent if seed.is_exact else node.exponent.to_float()
         return _named(node, Jet.pow_real, _lifted(_jet(node.base, seed), seed), alpha)
-    if isinstance(node, Apply):
+    if cls is Apply:
         return _named(node, getattr(Jet, node.fn), _lifted(_jet(node.arg, seed), seed))
     raise TypeError(f"not an expression node: {node!r}")
 

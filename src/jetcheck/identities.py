@@ -338,7 +338,7 @@ def _convolve(tables: Sequence[tuple[Sequence, int, int]], n: int, mode: str) ->
     rows = [[math.comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
     common = math.lcm(*[e for _, _, e in tables])
     den = common ** n * math.prod(d for _, d, _ in tables)
-    lhs, *rest = [[v * (common // e) ** k for k, v in enumerate(values)]
+    lhs, *rest = [values if e == common else [v * (common // e) ** k for k, v in enumerate(values)]
                   for values, _, e in tables]
     mag = [abs(v) for v in lhs]
     for i, values in enumerate(rest, 2):
@@ -357,10 +357,13 @@ def _binomial_convolution(a: Sequence, b: Sequence, rows: list, entries: Iterabl
             for m in entries]
 
 
-def _powers(g: Sequence, n: int) -> list[list]:
-    """g^0 .. g^n, each truncated to the order of g."""
+def _powers(g: Sequence, n: int) -> list[Sequence]:
+    """g^0 .. g^n, each truncated to the order of g; an exact g^1 is g itself, a
+    float one the product by the unit, which can move bits (see series_pow)."""
     powers = [[1] + [0] * (len(g) - 1)]
-    for _ in range(n):
+    if n and g[0].__class__ is not float:
+        powers.append(g)
+    while len(powers) <= n:
         powers.append(series_mul(powers[-1], g))
     return powers
 
@@ -372,7 +375,7 @@ def _derivative_table(f: tuple, g_powers: list, d_g: int, s: int, mode: str, c=1
     :meth:`Jet.cleared`, g_powers the powers of G from :func:`_powers`."""
     (f, d), ((c,), c_den) = f, _cleared([c], mode)
     values = [math.factorial(s) * coefficient(f, p, s) for p in g_powers]
-    return [c ** k * v for k, v in enumerate(values)], d, d_g * c_den
+    return values if c == 1 else [c ** k * v for k, v in enumerate(values)], d, d_g * c_den
 
 
 def _collapse_rhs(n: int, s: MultiIndex, f: Sequence[tuple], slopes: Iterable[tuple], mode: str):

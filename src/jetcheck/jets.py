@@ -35,7 +35,9 @@ The series core works on plain integer, Fraction or float coefficient lists
 and serves both jets and the verifiers: one Cauchy product
 (:func:`coefficient`), one integer-power loop (:func:`series_pow`) and one
 summation order (:func:`ordered_sum`), so float digits do not depend on the
-Python version.
+Python version.  Exact mode forms no product by a known one (a power starts
+from its base) and takes a Fraction operand before any type test; float mode
+keeps those products, which can turn -0.0 into 0.0 or inf into nan.
 """
 
 from __future__ import annotations
@@ -79,13 +81,15 @@ def clear_denominators(fractions: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def series_pow(a: Sequence, m: int) -> list:
-    """a**m for m >= 0 by square-and-multiply, from a constant one of the
-    coefficients' own type, so a float list stays float."""
+    """a**m for m >= 0 by square-and-multiply, in a fresh list: an exact list
+    starts from a at the lowest set bit of m, so x^2 is one product; a float
+    list from a constant one of its own type, since multiplying by it can move
+    bits (0 + -0.0 is 0.0, 0 * inf is nan)."""
     unit = a[0] ** 0
-    result = [unit] + [unit * 0] * (len(a) - 1)
+    result = [unit] + [unit * 0] * (len(a) - 1) if unit.__class__ is float or not m else None
     while m > 0:
         if m & 1:
-            result = series_mul(result, a)
+            result = list(a) if result is None else series_mul(result, a)
         m >>= 1
         if m:
             a = series_mul(a, a)
@@ -186,8 +190,9 @@ class Jet:
 
     def _termwise(self, other: Jet, op) -> Jet:
         """op on matching coefficients of two jets, over their common denominator."""
-        self._check_compatible(other)
         a, b, da, db = self._values, other._values, self._den, other._den
+        if len(a) != len(b) or (da is None) != (db is None):
+            self._check_compatible(other)
         if da != db:
             den = math.lcm(da, db)
             a, b, da = [v * (den // da) for v in a], [v * (den // db) for v in b], den
@@ -212,7 +217,7 @@ class Jet:
         """op(coefficient, c) for mul or truediv and a number operand c; an
         exact c = p/q multiplies the stored integers by p (q to divide) and
         the denominator by q (p to divide)."""
-        c = self._number(other)
+        c = other if other.__class__ is Fraction and self._den is not None else self._number(other)
         if c is NotImplemented:
             return c
         if self._den is None:
@@ -228,7 +233,7 @@ class Jet:
         """op(self, c) for add or sub and a number operand c; a float jet takes
         the termwise route with c's constant jet, for that route's bits (-0.0 + 0.0
         is 0.0 in its tail)."""
-        c = self._number(other)
+        c = other if other.__class__ is Fraction and self._den is not None else self._number(other)
         if c is NotImplemented:
             return c
         if self._den is None:
@@ -260,7 +265,7 @@ class Jet:
         return Jet._of([-a for a in self._values], self._den)
 
     def __mul__(self, other: object) -> Jet:
-        if not isinstance(other, Jet):
+        if other.__class__ is Fraction or not isinstance(other, Jet):
             return self._scaled(other, operator.mul)
         self._check_compatible(other)
         den = None if self._den is None else self._den * other._den

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetcheck.identities import _powers
 from jetcheck.jets import Jet, coefficient, ordered_sum, series_mul, series_pow
 from jetcheck.numeric import DomainError, ModeError, Scalar, generalized_binomial
 
@@ -72,6 +74,53 @@ def test_power_zero_keeps_the_float_mode():
     assert not j.is_exact and j == float_jet(1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("a", [[3, -1, 0, 2], [Fraction(3, 2), Fraction(-1, 3), 0, Fraction(2)]],
+                         ids=["int", "Fraction"])
+def test_exact_power_is_the_m_fold_product_in_a_fresh_list(a):
+    original, want = list(a), [1, 0, 0, 0]
+    for m in range(10):
+        got = series_pow(a, m)
+        assert got == want and got is not a
+        got[0] = 99
+        assert a == original
+        want = series_mul(want, a)
+    assert series_pow(tuple(a), 1) == a
+
+
+def _unit_first_pow(a: list, m: int) -> list:
+    """Square-and-multiply from the float unit, multiplying by it first."""
+    result = [1.0] + [0.0] * (len(a) - 1)
+    while m > 0:
+        if m & 1:
+            result = series_mul(result, a)
+        m >>= 1
+        if m:
+            a = series_mul(a, a)
+    return result
+
+
+def test_float_powers_keep_the_product_by_the_unit():
+    # The unit product turns -0.0 into 0.0: g^1 differs from g in its bits.
+    g = [1.5, -0.0, 2.0, math.inf]
+    assert repr(series_pow(g, 1)) != repr(g)
+    for m in range(10):
+        assert repr(series_pow(g, m)) == repr(_unit_first_pow(g, m))
+    want = [[1, 0, 0, 0]]
+    for _ in range(9):
+        want.append(series_mul(want[-1], g))
+    assert repr(_powers(g, 9)) == repr(want)
+    assert repr(_powers(g, 0)) == repr(want[:1])
+
+
+def test_exact_powers_start_from_g():
+    g = (Fraction(1, 2), 3, 0, -1)
+    powers = _powers(g, 5)
+    assert powers[1] == g and len(powers) == 6
+    for low, high in zip(powers, powers[1:]):
+        assert list(high) == series_mul(low, g)
+    assert _powers(g, 0) == [[1, 0, 0, 0]]
+
+
 @given(exact_jets3, st.integers(min_value=0, max_value=5))
 @settings(max_examples=50, deadline=None)
 def test_jet_power_is_repeated_product(a, m):
@@ -108,10 +157,16 @@ def test_derivative_examples():
 
 
 def test_structural_errors():
-    with pytest.raises(ValueError):
-        exact_jet(1, 2) + exact_jet(1, 2, 3)
-    with pytest.raises(ModeError):
-        exact_jet(1, 2) + float_jet(1.0, 2.0)
+    e1, e2, f1 = exact_jet(1, 2), exact_jet(1, 2, 3), float_jet(1.0, 2.0)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="^jet order mismatch: 1 vs 2$") as info:
+            op(e1, e2)
+        assert not isinstance(info.value, ModeError)
+        with pytest.raises(ValueError, match="^jet order mismatch: 2 vs 1$"):
+            op(e2, f1)  # the order is checked before the mode
+        for x, y in ((e1, f1), (f1, e1)):
+            with pytest.raises(ModeError, match="^cannot combine exact and float jets$"):
+                op(x, y)
     with pytest.raises(ModeError):
         Jet([Scalar.exact(1), Scalar.inexact(2.0)])
 
@@ -328,8 +383,12 @@ def test_mixing_modes_raises_mode_error():
     assert float_jet(1.0, 2.0) != exact_jet(1, 2)
 
 
+class FractionSubclass(Fraction):
+    """Not exactly a Fraction, so a jet checks it like any other number operand."""
+
+
 exact_numbers = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=12),
-                          exact_scalars)
+                          st.fractions(max_denominator=12).map(FractionSubclass), exact_scalars)
 
 
 @settings(deadline=None, max_examples=200)
@@ -361,12 +420,14 @@ def test_number_operand_errors():
     for jet in (e, f):
         with pytest.raises(ZeroDivisionError):
             jet / 0
-    with pytest.raises(ZeroDivisionError):
-        e / Fraction(0)
+    for zero in (Fraction(0), FractionSubclass(0)):
+        with pytest.raises(ZeroDivisionError, match="^division of a jet by zero$"):
+            e / zero
     for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__truediv__",
                "__rtruediv__"):
-        with pytest.raises(ModeError, match="^cannot combine a float jet with an exact scalar$"):
-            getattr(f, op)(Fraction(1, 2))
+        for c in (Fraction(1, 2), FractionSubclass(1, 2)):
+            with pytest.raises(ModeError, match="^cannot combine a float jet with an exact scalar$"):
+                getattr(f, op)(c)
         with pytest.raises(ModeError, match="^cannot combine a float jet with an exact scalar$"):
             getattr(f, op)(Scalar.exact(1, 2))
         with pytest.raises(ModeError, match="^cannot combine an exact jet with a float scalar$"):
