@@ -437,7 +437,8 @@ def _jet(node: Expr, seed: Jet) -> Jet | Fraction:
         a, b = _jet(node.left, seed), _jet(node.right, seed)
         return b + a if a.__class__ is Fraction else a + b
     if cls is Sub:
-        return _jet(node.left, seed) - _jet(node.right, seed)
+        a, b = _jet(node.left, seed), _jet(node.right, seed)
+        return -b + a if a.__class__ is Fraction else a - b
     if cls is PowInt:
         base = _jet(node.base, seed)
         if base.__class__ is Fraction:

@@ -16,10 +16,12 @@ storage (:meth:`Jet.cleared` hands it out), the float operations in the
 order Scalar arithmetic would use; :attr:`Jet.coeffs` is a read-only Scalar
 view at the library's edge, built on each read.
 
-A jet also takes a number operand of its mode (an int, a Fraction or a
-Scalar).  An exact number stays a rational: ``+`` and ``-`` shift coefficient
-0 over the common denominator, ``*`` and ``/`` scale the stored integers and
-the denominator, so no constant jet and no Cauchy product is formed.
+A jet also takes a number operand of its mode, read by one method,
+``Jet._number``: an exact jet an int, a Fraction (eval_jet's constants, taken
+first) or an exact Scalar; a float jet an int or a float Scalar.  An exact
+number stays a rational: ``+`` and ``-`` shift coefficient 0 over the common
+denominator, ``*`` and ``/`` scale the stored integers and the denominator,
+so no constant jet and no Cauchy product is formed.
 
 In exact mode every operation is exact rational arithmetic; the elementary
 transcendental functions (exp, log, sin, cos, sqrt, and real powers with
@@ -36,8 +38,8 @@ and serves both jets and the verifiers: one Cauchy product
 (:func:`coefficient`), one integer-power loop (:func:`series_pow`) and one
 summation order (:func:`ordered_sum`), so float digits do not depend on the
 Python version.  Exact mode forms no product by a known one (a power starts
-from its base) and takes a Fraction operand before any type test; float mode
-keeps those products, which can turn -0.0 into 0.0 or inf into nan.
+from its base); float mode keeps those products, which can turn -0.0 into 0.0
+or inf into nan.
 """
 
 from __future__ import annotations
@@ -201,7 +203,9 @@ class Jet:
     def _number(self, other: object):
         """``other`` as a plain number in this jet's mode: a Scalar's value, a
         Fraction, or an int (a float for a float jet); NotImplemented for any
-        other operand."""
+        other operand.  An exact jet takes a Fraction before any type test."""
+        if other.__class__ is Fraction and self._den is not None:
+            return other
         if isinstance(other, Scalar):
             other = other.value
         elif isinstance(other, bool) or not isinstance(other, (int, Fraction)):
@@ -217,7 +221,7 @@ class Jet:
         """op(coefficient, c) for mul or truediv and a number operand c; an
         exact c = p/q multiplies the stored integers by p (q to divide) and
         the denominator by q (p to divide)."""
-        c = other if other.__class__ is Fraction and self._den is not None else self._number(other)
+        c = self._number(other)
         if c is NotImplemented:
             return c
         if self._den is None:
@@ -233,7 +237,7 @@ class Jet:
         """op(self, c) for add or sub and a number operand c; a float jet takes
         the termwise route with c's constant jet, for that route's bits (-0.0 + 0.0
         is 0.0 in its tail)."""
-        c = other if other.__class__ is Fraction and self._den is not None else self._number(other)
+        c = self._number(other)
         if c is NotImplemented:
             return c
         if self._den is None:
@@ -249,8 +253,7 @@ class Jet:
             return self._termwise(other, operator.add)
         return self._shifted(other, operator.add)
 
-    def __radd__(self, other: object) -> Jet:
-        return self._shifted(other, operator.add)
+    __radd__ = __add__
 
     def __sub__(self, other: object) -> Jet:
         if isinstance(other, Jet):
@@ -265,7 +268,7 @@ class Jet:
         return Jet._of([-a for a in self._values], self._den)
 
     def __mul__(self, other: object) -> Jet:
-        if other.__class__ is Fraction or not isinstance(other, Jet):
+        if not isinstance(other, Jet):
             return self._scaled(other, operator.mul)
         self._check_compatible(other)
         den = None if self._den is None else self._den * other._den

@@ -9,11 +9,11 @@ A scalar's ``value`` is exactly a ``Fraction`` or exactly a ``float``: an int
 becomes a ``Fraction`` and a subclass instance its base type, so the mode is
 the value's class.
 
-Arithmetic never mixes the two silently: combining an exact scalar with a
-float one raises :class:`ModeError`.  Conversion is explicit, via
-:meth:`Scalar.to_float`.  Plain Python ints are accepted on either side of an
-operation and are lifted into the mode of the other operand (an integer is
-exact in both modes).
+Every arithmetic operator and ordering comparison follows one lift rule
+(:meth:`Scalar._lift`): a plain int on either side takes the other operand's
+mode (an integer is exact in both), and a scalar of the other mode raises
+:class:`ModeError`, so the modes never mix silently; conversion is explicit,
+via :meth:`Scalar.to_float`.
 
 The combinatorial layer (multi-indices, which are checked tuples, multinomial
 coefficients, composition enumeration, generalized binomial coefficients) is
@@ -25,6 +25,7 @@ Callers working in float mode convert at the boundary.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -35,6 +36,31 @@ class ModeError(TypeError):
 
 class DomainError(ValueError):
     """An operation was evaluated outside its mathematical domain."""
+
+
+def _operators(op):
+    """The forward and reflected methods of ``op``, built as ``fractions`` builds its
+    own: the other operand is lifted by :meth:`Scalar._lift`, or gives NotImplemented."""
+
+    def forward(self: Scalar, other: object) -> Scalar:
+        rhs = self._lift(other)
+        return NotImplemented if rhs is None else Scalar(op(self.value, rhs.value))
+
+    def reverse(self: Scalar, other: object) -> Scalar:
+        lhs = self._lift(other)
+        return NotImplemented if lhs is None else Scalar(op(lhs.value, self.value))
+    return forward, reverse
+
+
+def _comparison(op):
+    """An ordering method on the same lift; an operand it cannot lift is a TypeError."""
+
+    def compare(self: Scalar, other: object) -> bool:
+        rhs = self._lift(other)
+        if rhs is None:
+            raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
+        return op(self.value, rhs.value)
+    return compare
 
 
 class Scalar:
@@ -86,54 +112,17 @@ class Scalar:
         """Bring ``other`` into this scalar's mode, or None if unsupported."""
         if isinstance(other, Scalar):
             if other.value.__class__ is not self.value.__class__:
-                raise ModeError(
-                    f"cannot combine {self.mode} and {other.mode} scalars; "
-                    "convert explicitly with to_float()"
-                )
+                raise ModeError(f"cannot combine {self.mode} and {other.mode} scalars; "
+                                "convert explicitly with to_float()")
             return other
         if isinstance(other, int) and not isinstance(other, bool):
             return Scalar(self.value.__class__(other))
         return None
 
-    def __add__(self, other: object) -> Scalar:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return Scalar(self.value + rhs.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> Scalar:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return Scalar(self.value - rhs.value)
-
-    def __rsub__(self, other: object) -> Scalar:
-        lhs = self._lift(other)
-        if lhs is None:
-            return NotImplemented
-        return Scalar(lhs.value - self.value)
-
-    def __mul__(self, other: object) -> Scalar:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return Scalar(self.value * rhs.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> Scalar:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return Scalar(self.value / rhs.value)
-
-    def __rtruediv__(self, other: object) -> Scalar:
-        lhs = self._lift(other)
-        if lhs is None:
-            return NotImplemented
-        return Scalar(lhs.value / self.value)
+    __add__, __radd__ = _operators(operator.add)
+    __sub__, __rsub__ = _operators(operator.sub)
+    __mul__, __rmul__ = _operators(operator.mul)
+    __truediv__, __rtruediv__ = _operators(operator.truediv)
 
     def __pow__(self, exponent: int) -> Scalar:
         if not isinstance(exponent, int) or isinstance(exponent, bool):
@@ -156,23 +145,10 @@ class Scalar:
     def __hash__(self) -> int:
         return hash(self.value)
 
-    def _cmp_value(self, other: object) -> Fraction | float:
-        rhs = self._lift(other)
-        if rhs is None:
-            raise TypeError(f"cannot compare Scalar with {type(other).__name__}")
-        return rhs.value
-
-    def __lt__(self, other: object) -> bool:
-        return self.value < self._cmp_value(other)
-
-    def __le__(self, other: object) -> bool:
-        return self.value <= self._cmp_value(other)
-
-    def __gt__(self, other: object) -> bool:
-        return self.value > self._cmp_value(other)
-
-    def __ge__(self, other: object) -> bool:
-        return self.value >= self._cmp_value(other)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
 
     def __float__(self) -> float:
         return float(self.value)

@@ -260,7 +260,7 @@ def test_eval_jet_agrees_with_the_constant_jet_evaluator(e, x, order, in_float):
 
 def test_exact_constants_meet_jets_through_their_operators():
     x0 = Scalar.exact(3, 2)
-    for text in ("-(1/2)^3", "(2/3)/(4/5)*x", "x/(4/5)", "(2/3)/x", "2-x", "x-2", "2+x",
+    for text in ("-(1/2)^3", "(2/3)/(4/5)*x", "x/(4/5)", "(2/3)/x", "2-x", "2/3-x*x", "x-2", "2+x",
                  "-3/2*x^2+(2/3)/(4/5)*x-(1/2)^3", "(1-1)^0*x", "(-2)^(-3)+x"):
         e = parse(text)
         assert eval_jet(e, x0, 4) == reference_eval_jet(e, x0, 4), text

@@ -142,6 +142,21 @@ class TestScalarValueType:
                 op(a, b)
         assert exact != inexact and not exact == inexact
 
+    @pytest.mark.parametrize("op", MIXED)
+    def test_every_operator_lifts_an_int_and_refuses_other_numbers(self, op):
+        arithmetic = op in MIXED[:4]
+        for s in (Scalar.exact(3, 4), Scalar.inexact(-0.75)):
+            lift = s.value.__class__
+            for n in (3, -2, 10**30):
+                for got, want in ((op(s, n), op(s.value, lift(n))), (op(n, s), op(lift(n), s.value))):
+                    assert got == (Scalar(want) if arithmetic else want)
+            for bad in (0.5, True, Fraction(1, 2), 1j, None):
+                message = ("^unsupported operand type" if arithmetic
+                           else f"^cannot compare Scalar with {type(bad).__name__}$")
+                for apply in (lambda: op(s, bad), lambda: op(bad, s)):
+                    with pytest.raises(TypeError, match=message):
+                        apply()
+
     @given(FLOATS, FLOATS, st.integers(-4, 4))
     def test_float_scalars_give_the_bits_of_plain_floats(self, a, b, k):
         sa, sb = Scalar(a), Scalar(b)
