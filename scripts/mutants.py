@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Check that the test suite still kills a committed list of mutants.
+
+Each mutant names a file, a piece of its text, the text that replaces it and
+the test that must catch the change.  For each one the script copies ``src/``
+and ``tests/`` into a temporary directory, runs the test on the copy as it is
+(it must pass), replaces the text, which must occur exactly once, and runs
+the test again (it must fail).  A refactor that moves a mutant's text
+updates or retires its entry.
+
+    python scripts/mutants.py                    # every mutant
+    python scripts/mutants.py log_recurrence     # the named ones
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+JETS, IDENTITIES = "src/jetcheck/jets.py", "src/jetcheck/identities.py"
+DIVISION_GRID = "tests/test_jets.py::test_division_and_number_operands_keep_their_bits"
+
+# name: (file, old text, new text, the test that kills the mutant)
+MUTANTS = {
+    # float jet division by the reciprocal of b[0]
+    "float_jet_division": (
+        JETS, "out.append(acc / b[0])", "out.append(acc * (1 / b[0]))", DIVISION_GRID),
+    # a float jet divided by a number through the reciprocal of the number
+    "float_number_division": (
+        JETS, "return Jet._of([op(a, c) for a in self._values], None)",
+        "return Jet._of([a * (1 / c) if op is operator.truediv else op(a, c)"
+        " for a in self._values], None)", DIVISION_GRID),
+    # a float shift that keeps a_k (and so -0.0) instead of op(a_k, 0)
+    "float_shift_keeps_the_tail": (
+        JETS, "*[op(v, 0) for v in values[1:]]",
+        "*[v if den is None else op(v, 0) for v in values[1:]]",
+        "tests/test_jets.py::test_number_operands_of_float_jets_keep_the_termwise_bits"),
+    # the log recurrence divided once by k * a_0
+    "log_recurrence": (
+        JETS, "b.append(acc / k / a[0])", "b.append(acc / (k * a[0]))",
+        "tests/test_jets.py::test_elementary_recurrences_keep_their_bits"),
+    # the kernel lifts entry k of a table by (E/e_i)^(n-k)
+    "kernel_lift_exponent": (
+        IDENTITIES, "(common // e) ** k for k", "(common // e) ** (n - k) for k",
+        "tests/test_kernel.py::test_entry_n_kernel_equals_the_composition_reference"),
+    # the kernel's divisor without E^n
+    "kernel_divisor": (
+        IDENTITIES, "den = common ** n * math.prod(", "den = math.prod(",
+        "tests/test_kernel.py::test_entry_n_kernel_equals_the_composition_reference"),
+    # Pascal rows rounded through floats, which are exact only up to row 56
+    "kernel_float_binomials": (
+        IDENTITIES, "rows = [[math.comb(m, j) for j", "rows = [[int(float(math.comb(m, j))) for j",
+        "tests/test_kernel.py::test_the_widest_tables_fold_to_the_closed_form"),
+    # float series_pow without the product by the unit
+    "float_power_unit": (
+        JETS, "if unit.__class__ is float or not m else None", "if not m else None",
+        "tests/test_jets.py::test_float_powers_keep_the_product_by_the_unit"),
+}
+
+
+def run_test(tree: Path, test: str) -> int:
+    """pytest's exit code for one test id, run on the copy at ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+        cwd=tree, env=env, capture_output=True, check=False,
+    ).returncode
+
+
+def check(name: str) -> str | None:
+    """None when the mutant's test passes on the tree and fails on the mutant,
+    else what went wrong."""
+    path, old, new, test = MUTANTS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        code = run_test(tree, test)
+        if code != 0:
+            return f"{test} exits {code} on the tree"
+        source = (tree / path).read_text()
+        if source.count(old) != 1:
+            return f"the old text occurs {source.count(old)} times in {path}"
+        (tree / path).write_text(source.replace(old, new))
+        code = run_test(tree, test)
+        if code != 1:
+            return f"{test} exits {code} on the mutant, not 1 (a failed test)"
+    return None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"mutants to check (default: all): {', '.join(MUTANTS)}")
+    names = parser.parse_args().names or list(MUTANTS)
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        parser.error(f"unknown mutant: {', '.join(unknown)}")
+    failures = 0
+    for name in names:
+        problem = check(name)
+        print(f"{name}: {'killed' if problem is None else problem}", flush=True)
+        failures += problem is not None
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -307,19 +307,19 @@ def constant_value(e: Expr) -> Scalar | None:
     function or a real power appears, or where the value is undefined
     (division by zero, zero to a negative power)."""
     try:
-        return _eval(e, None, contains_float(e), {})
+        return Scalar(_eval(e, None, contains_float(e), {}))
     except (_NoPoint, DomainError):
         return None
 
 
-def _eval(e: Expr, x0: Scalar | None, lift: bool, memo: dict[int, Scalar]) -> Scalar:
-    """The value of ``e`` at x0, in float when ``lift`` is set, memoized on
-    node identity; one frame per tree level."""
+def _eval(e: Expr, x0: Fraction | float | None, lift: bool, memo: dict) -> Fraction | float:
+    """The value of ``e`` at the plain number x0, a float when ``lift`` is set,
+    memoized on node identity; one frame per tree level."""
     hit = memo.get(id(e))
     if hit is not None:
         return hit
     if isinstance(e, Const):
-        out = e.value.to_float() if lift else e.value
+        out = float(e.value) if lift else e.value.value
     elif x0 is None and isinstance(e, (Var, PowReal, Apply)):
         raise _NoPoint
     elif isinstance(e, Var):
@@ -352,7 +352,7 @@ def _eval(e: Expr, x0: Scalar | None, lift: bool, memo: dict[int, Scalar]) -> Sc
     return out
 
 
-def _real_power(e: PowReal, base: Scalar) -> Scalar:
+def _real_power(e: PowReal, base: Fraction | float) -> Fraction | float:
     """The value of ``e`` where its base has the value ``base``."""
     alpha = e.exponent
     m: int | None = None
@@ -364,22 +364,21 @@ def _real_power(e: PowReal, base: Scalar) -> Scalar:
         if m < 0 and base == 0:
             raise DomainError(f"zero base with negative exponent in '{to_text(e)}'")
         return base ** m
-    if base.is_exact:
+    if base.__class__ is Fraction:
         raise ModeError(f"non-integer power in '{to_text(e)}' requires float mode")
     if not base > 0:
         raise DomainError(f"non-positive base for real power in '{to_text(e)}'")
-    return Scalar.inexact(math.pow(float(base), float(alpha)))
+    return math.pow(base, float(alpha))
 
 
-def _applied(e: Apply, arg: Scalar) -> Scalar:
+def _applied(e: Apply, arg: Fraction | float) -> float:
     """The value of ``e`` where its argument has the value ``arg``."""
-    if arg.is_exact:
+    if arg.__class__ is Fraction:
         raise ModeError(f"'{e.fn}' in '{to_text(e)}' requires float mode")
-    v = float(arg)
-    if e.fn in ("log", "sqrt") and not v > 0:
+    if e.fn in ("log", "sqrt") and not arg > 0:
         raise DomainError(f"non-positive argument to {e.fn} in '{to_text(e)}'")
     try:
-        return Scalar.inexact(getattr(math, e.fn)(v))
+        return getattr(math, e.fn)(arg)
     except OverflowError:  # only exp overflows
         raise DomainError(f"exp overflow in '{to_text(e)}'") from None
 
@@ -388,7 +387,7 @@ def eval_scalar(e: Expr, x0: Scalar) -> Scalar:
     """Evaluate at x0.  Exact when the tree and the point are exact; any
     decimal literal in the tree forces float mode for the whole evaluation."""
     x0, mode = _mode_for(x0, (e,))
-    return _eval(e, x0, mode == "float", {})
+    return Scalar(_eval(e, x0.value, mode == "float", {}))
 
 
 def _named(node: Expr, op, *operands) -> Jet:
@@ -429,7 +428,7 @@ def _jet(node: Expr, seed: Jet) -> Jet | Fraction:
     if cls is Const:
         if seed.is_exact:
             return node.value.value
-        return Jet.constant(node.value.to_float(), seed.order)
+        return Jet._line(float(node.value), 0, seed.order)
     if cls is Mul:
         a, b = _jet(node.left, seed), _jet(node.right, seed)
         return b * a if a.__class__ is Fraction else a * b
@@ -438,7 +437,7 @@ def _jet(node: Expr, seed: Jet) -> Jet | Fraction:
         return b + a if a.__class__ is Fraction else a + b
     if cls is Sub:
         a, b = _jet(node.left, seed), _jet(node.right, seed)
-        return -b + a if a.__class__ is Fraction else a - b
+        return b.__rsub__(a) if a.__class__ is Fraction else a - b
     if cls is PowInt:
         base = _jet(node.base, seed)
         if base.__class__ is Fraction:
@@ -466,7 +465,7 @@ def _jet(node: Expr, seed: Jet) -> Jet | Fraction:
 
 def _lifted(value: Jet | Fraction, seed: Jet) -> Jet:
     """``value`` as a jet of the seed's order: a Fraction becomes its constant jet."""
-    return Jet.constant(Scalar(value), seed.order) if value.__class__ is Fraction else value
+    return Jet._line(value, 0, seed.order) if value.__class__ is Fraction else value
 
 
 def nth_derivative(e: Expr, k: int, x0: Scalar) -> Scalar:
@@ -491,7 +490,7 @@ def nth_derivative(e: Expr, k: int, x0: Scalar) -> Scalar:
         if height > MAX_DERIVATIVE_HEIGHT:
             raise DomainError(f"the derivative of order {order} is {height} levels high, "
                               f"more than the {MAX_DERIVATIVE_HEIGHT} that can be evaluated")
-    return _eval(d, x0, mode == "float", {})
+    return Scalar(_eval(d, x0.value, mode == "float", {}))
 
 
 def _height(e: Expr, heights: dict[int, int]) -> int:

@@ -18,9 +18,9 @@ view at the library's edge, built on each read.
 
 A jet also takes a number operand of its mode, read by one method,
 ``Jet._number``: an exact jet an int, a Fraction (eval_jet's constants, taken
-first) or an exact Scalar; a float jet an int or a float Scalar.  An exact
-number stays a rational: ``+`` and ``-`` shift coefficient 0 over the common
-denominator, ``*`` and ``/`` scale the stored integers and the denominator,
+first) or an exact Scalar; a float jet an int or a float Scalar.  ``jet + c``,
+``jet - c`` and ``c - jet`` shift coefficient 0 in one pass (an exact c over
+the common denominator), ``jet * c`` and ``jet / c`` scale the stored values,
 so no constant jet and no Cauchy product is formed.
 
 In exact mode every operation is exact rational arithmetic; the elementary
@@ -132,21 +132,22 @@ class Jet:
     @classmethod
     def variable(cls, x0: Scalar, order: int) -> Jet:
         """The identity function expanded at x0: coefficients [x0, 1, 0, ...]."""
-        return cls._line(x0, 1, order)
+        return cls._line(x0.value, 1, order)
 
     @classmethod
     def constant(cls, c: Scalar, order: int) -> Jet:
-        return cls._line(c, 0, order)
+        return cls._line(c.value, 0, order)
 
     @classmethod
-    def _line(cls, c: Scalar, slope: int, order: int) -> Jet:
-        """c + slope (x - x0), expanded at x0."""
+    def _line(cls, c: int | Fraction | float, slope: int, order: int) -> Jet:
+        """c + slope (x - x0), expanded at x0, for a plain number c: a float
+        gives a float jet, an int or a Fraction an exact one."""
         if order < 0:
             raise ValueError(f"jet order must be non-negative, got {order}")
-        if c.is_exact:
-            q = c.value.denominator
-            return cls._of([c.value.numerator, slope * q, *[0] * order][: order + 1], q)
-        return cls._of([c.value, float(slope), *[0.0] * order][: order + 1], None)
+        if isinstance(c, float):
+            return cls._of([c, float(slope), *[0.0] * order][: order + 1], None)
+        q = c.denominator
+        return cls._of([c.numerator, slope * q, *[0] * order][: order + 1], q)
 
     @property
     def order(self) -> int:
@@ -234,19 +235,20 @@ class Jet:
         return Jet._of([a * num for a in self._values], self._den * den)
 
     def _shifted(self, other: object, op) -> Jet:
-        """op(self, c) for add or sub and a number operand c; a float jet takes
-        the termwise route with c's constant jet, for that route's bits (-0.0 + 0.0
-        is 0.0 in its tail)."""
+        """op(a_0, c) at coefficient 0 and op(a_k, 0) at every other, in one pass,
+        for a number operand c (an exact one over the common denominator): the
+        termwise bits with c's constant jet in floats too (-0.0 + 0.0 is 0.0)."""
         c = self._number(other)
         if c is NotImplemented:
             return c
-        if self._den is None:
-            return self._termwise(Jet.constant(Scalar(c), self.order), op)
-        values, den, q = self._values, self._den, c.denominator
-        if den % q:
-            lcm = math.lcm(den, q)
-            values, den = [v * (lcm // den) for v in values], lcm
-        return Jet._of([op(values[0], c.numerator * (den // q)), *values[1:]], den)
+        values, den = self._values, self._den
+        if den is not None:
+            q = c.denominator
+            if den % q:
+                lcm = math.lcm(den, q)
+                values, den = [v * (lcm // den) for v in values], lcm
+            c = c.numerator * (den // q)
+        return Jet._of([op(values[0], c), *[op(v, 0) for v in values[1:]]], den)
 
     def __add__(self, other: object) -> Jet:
         if isinstance(other, Jet):
@@ -261,8 +263,7 @@ class Jet:
         return self._shifted(other, operator.sub)
 
     def __rsub__(self, other: object) -> Jet:
-        # c - a is -a + c, bit for bit in floats too: IEEE subtraction adds the negation
-        return (-self)._shifted(other, operator.add)
+        return self._shifted(other, lambda a, c: c - a)
 
     def __neg__(self) -> Jet:
         return Jet._of([-a for a in self._values], self._den)
@@ -313,7 +314,7 @@ class Jet:
         c = self._number(other)
         if c is NotImplemented:
             return c
-        return Jet.constant(Scalar(c), self.order) / self
+        return Jet._line(c, 0, self.order) / self
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Jet):

@@ -251,6 +251,39 @@ def reference_exp_family(n, alpha, beta, c, s, rhs_form="corrected"):
     )
 
 
+def _poly_mul(a: list, b: list, length: int) -> list:
+    """The product of two coefficient lists, truncated to ``length`` terms."""
+    return [sum(a[j] * b[m - j] for j in range(m + 1) if j < len(a) and m - j < len(b))
+            for m in range(length)]
+
+
+def closed_form_lhs(factors, n: int) -> Fraction:
+    """The kernel's lhs, sum over |k| = n of multinomial(n, k) prod_i T_i[k_i],
+    for tables T_i[k] = s_i! [t^(s_i)](F_i G_i^k) given as (F_i, G_i, s_i), F_i
+    and G_i Fraction coefficient lists that reach index s_i.
+
+    With g_i = G_i(x0) and H_i = G_i - g_i, expanding G_i^k = (g_i + H_i)^k
+    turns the sum of table i's exponential generating function into
+    e^(g_i z) P_i(z), P_i(y) = sum_{m <= s_i} (s_i!/m!) [t^(s_i)](F_i H_i^m) y^m,
+    since H_i^m starts at t^m.  So the lhs is
+
+        sum_M n(n-1)...(n-M+1) (sum_i g_i)^(n-M) [y^M] prod_i P_i(y),
+
+    whose cost depends on the s_i alone, not on n but for one power.
+    With sum g_i = 0 only M = n is left, which is the identities' own proof:
+    a test oracle only, never a verifier's route."""
+    product = [Fraction(1)]
+    for f, g, s in factors:
+        h, power, poly = [Fraction(0), *g[1:s + 1]], [Fraction(1)] + [Fraction(0)] * s, []
+        for m in range(s + 1):
+            at_s = sum(f[j] * power[s - j] for j in range(s + 1))
+            poly.append(Fraction(math.factorial(s), math.factorial(m)) * at_s)
+            power = _poly_mul(power, h, s + 1)
+        product = _poly_mul(product, poly, len(product) + s)
+    total = sum(g[0] for _, g, _ in factors)
+    return sum(math.perm(n, m) * total ** (n - m) * c for m, c in enumerate(product) if m <= n)
+
+
 # Verifier name -> its reference, called with the verifier's positional arguments.
 REFERENCES = {
     "theorem1_verify": reference_theorem1,

@@ -288,6 +288,35 @@ def test_elementary_recurrences_keep_their_bits():
     assert digest.hexdigest() == GRID_DIGEST
 
 
+# Bits of float division on the same tails: jet by jet, with divisors whose
+# value is not a power of two (a product by the reciprocal rounds otherwise),
+# at orders 0 to 12, and a jet times, over and under a number of each kind.
+DIVISION_LEADS = (0.3, 3.0, -7.0)
+DIVISION_ORDERS = (0, 1, 5, 12)
+DIVISION_NUMBERS = (3, -7, Scalar.inexact(0.1), Scalar.inexact(-2.5))
+DIVISION_DIGEST = "779d8b7bead7f278f75468010c8c251c9dd472c378dcce1999f6d8157a21b608"
+
+
+def division_grid() -> tuple[str, int]:
+    """SHA-256 over the float.hex() of every coefficient the grid computes."""
+    digest, outputs = hashlib.sha256(), 0
+    for order in DIVISION_ORDERS:
+        jets = [float_jet(lead, *[tail[k % len(tail)] for k in range(order)])
+                for lead in DIVISION_LEADS for tail in GRID_TAILS]
+        results = [a / b for a in jets for b in jets]
+        results += [r for a in jets for c in DIVISION_NUMBERS for r in (a * c, a / c, c / a)]
+        for result in results:
+            values, den = result.cleared()
+            assert den == 1 and all(type(v) is float for v in values)
+            digest.update((",".join(v.hex() for v in values) + "\n").encode())
+            outputs += 1
+    return digest.hexdigest(), outputs
+
+
+def test_division_and_number_operands_keep_their_bits():
+    assert division_grid() == (DIVISION_DIGEST, 432)
+
+
 def test_pow_real_matches_generalized_binomial():
     alpha = Scalar.exact(5, 2)
     j = Jet.variable(Scalar.inexact(1.0), 2).pow_real(alpha)

@@ -13,19 +13,22 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     REFERENCES,
+    closed_form_lhs,
     quadratic_instance,
+    rand_fraction,
     rand_polynomial,
     reference_convolve,
     reference_product,
 )
 from jetcheck import identities
-from jetcheck.exprs import Div, Mul, X, add, const, eval_scalar, neg, pow_int, sub
+from jetcheck.exprs import Div, Mul, X, add, const, eval_jet, eval_scalar, neg, pow_int, sub
 from jetcheck.identities import IDENTITIES, SweepConfig, TheoremInstance, sweep
+from jetcheck.jets import clear_denominators
 from jetcheck.numeric import MultiIndex, Scalar
 from jetcheck.parsing import parse
 
@@ -394,6 +397,87 @@ def test_entry_n_kernel_equals_the_composition_reference(n, dens):
     for _ in range(10):
         tables = _int_tables(rng, n, dens)
         assert identities._convolve(tables, n, "exact") == reference_convolve(tables, n)
+
+
+# The kernel on the verifiers' tables against the closed form in helpers, at
+# sizes the composition reference cannot reach and with sum g_i != 0, which
+# no verifier runs.  The families and leibniz stay with the reference.
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+ORDERS = st.lists(st.integers(0, 3), min_size=1, max_size=16)
+
+
+def _table(f, g, s, n, c=1):
+    """_derivative_table of Fraction lists F and G at order s, as theorem1
+    (c = 1) and corollary2 build it."""
+    g, d_g = clear_denominators(g)
+    return identities._derivative_table(clear_denominators(f), identities._powers(g, n), d_g, s,
+                                        "exact", c)
+
+
+def _coefficients(s):
+    return st.lists(RATIONALS, min_size=s + 1, max_size=s + 1)
+
+
+@st.composite
+def theorem1_factors(draw):
+    """(F_i, G_i, s_i) for 1 to 16 factors with s_i <= 3 and sum g_i != 0."""
+    factors = [(draw(_coefficients(s)), draw(_coefficients(s)), s) for s in draw(ORDERS)]
+    assume(sum(g[0] for _, g, _ in factors) != 0)
+    return factors
+
+
+@st.composite
+def corollary2_factors(draw):
+    """G and (F_i, c_i, s_i) for 1 to 16 factors with s_i <= 3 and sum c_i g != 0."""
+    orders = draw(ORDERS)
+    g = draw(_coefficients(max(orders)))
+    factors = [(draw(_coefficients(s)), draw(RATIONALS), s) for s in orders]
+    assume(g[0] * sum(c for _, c, _ in factors) != 0)
+    return g, factors
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(0, 200), theorem1_factors())
+def test_theorem1_tables_fold_to_the_closed_form(n, factors):
+    tables = [_table(f, g, s, n) for f, g, s in factors]
+    assert identities._convolve(tables, n, "exact")[0] == closed_form_lhs(factors, n)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(0, 200), corollary2_factors())
+def test_corollary2_tables_fold_to_the_closed_form(n, inputs):
+    # corollary2 raises one G to its powers and scales table i by c_i^k: G_i = c_i G
+    g, factors = inputs
+    tables = [_table(f, g, s, n, c) for f, c, s in factors]
+    want = closed_form_lhs([(f, [c * v for v in g], s) for f, c, s in factors], n)
+    assert identities._convolve(tables, n, "exact")[0] == want
+
+
+def test_the_widest_tables_fold_to_the_closed_form():
+    rng = random.Random("closed-form")
+    for n, r in ((200, 16), (120, 3)):
+        factors = []
+        for _ in range(r):
+            s = rng.randint(0, 3)
+            f, g = ([rand_fraction(rng) for _ in range(s + 1)] for _ in range(2))
+            factors.append((f, g, s))
+        assert sum(g[0] for _, g, _ in factors) != 0
+        tables = [_table(f, g, s, n) for f, g, s in factors]
+        assert identities._convolve(tables, n, "exact")[0] == closed_form_lhs(factors, n)
+
+
+def test_baran_lhs_is_the_closed_form():
+    # baran's tables (-g0)^k and [t^n](F G^k) are those of (1, -g0, 0) and
+    # (F, G, n) over n!; their g_i sum to zero, so only M = n is left
+    rng = random.Random("baran-closed-form")
+    for n in (1, 7, 24, 40):
+        f, g = rand_polynomial(rng), rand_polynomial(rng)
+        x0 = Scalar(rand_fraction(rng))
+        report = identities.baran_verify(n, f, g, x0)
+        fj, gj = ([c.value for c in eval_jet(e, x0, n).coeffs] for e in (f, g))
+        want = closed_form_lhs([([1], [-gj[0]], 0), (fj, gj, n)], n) / math.factorial(n)
+        assert report.lhs == Scalar(want)
 
 
 def _left_sum(terms):

@@ -6,8 +6,9 @@ standard output and standard error is compared with the committed table in
 verify/binomid/lemma kind in text and JSON, exact and ``--float``, every
 elementary recurrence and non-integer real powers at n >= 10, exact
 constants that scale, shift and divide jets and zero constants as divisors,
-a large float instance, the README soak sweep and a ``--negative`` sweep, so
-a refactor that changes a single output byte fails here.
+exact lhs and scales over tables of different denominators, a large float
+instance, the README soak sweep and a ``--negative`` sweep, so a refactor
+that changes a single output byte fails here.
 
 The module needs no pytest: ``python tests/test_output_corpus.py`` prints the
 table for the running interpreter, which compares Python versions with a
@@ -133,6 +134,17 @@ OTHERS = [
     ["verify", "baran", "--n", "1", "--f", "x^((1/10+2/10)*3.0)", "--g", "x", "--at", "2"],
     ["verify", "baran", "--n", "1", "--f", "x^((1/10+2/10)*3.0)", "--g", "x", "--at", "2",
      "--json"],
+    # exact cancellation scales of theorem1 and corollary2 over tables of
+    # different denominators, which only the kernel puts over one; baran and
+    # corollary2 with powers x^0 to x^5 and a coefficient c = 1
+    ["verify", "theorem1", "--n", "6", "--s", "2,2,2", "--f", "1+x/5,x*x/7,1/(1+x)",
+     "--g", "x/2+1/4,x*x/3-1/9,-x/2-1/4-x*x/3+1/9", "--at", "1", "--json"],
+    ["verify", "corollary2", "--n", "5", "--s", "2,3", "--c", "2/3,-2/3", "--f", "1/(2+x),x/5",
+     "--g", "x*x/7-x", "--at", "1/2", "--json"],
+    ["verify", "baran", "--n", "6", "--f", "x^3-2*x^0", "--g", "(x/2)^5+x^1-1/3", "--at", "3/2",
+     "--json"],
+    ["verify", "corollary2", "--n", "6", "--s", "1,2,3", "--c", "1,-2,1",
+     "--f", "x^2+1,x^5-x,1/(x^3+2)", "--g", "(x^4)/5-x", "--at", "3/2", "--json"],
 ]
 
 CORPUS = README_EXAMPLES + [

@@ -26,3 +26,13 @@ def test_report_digest_is_pinned():
     assert proc.stdout == (
         "005a9767dad171ad733e3e8cfedf7689c9f4e48f76f20220dd74e9799791c9cb  1280 trials\n"
     )
+
+
+def test_mutants_script_kills_a_committed_mutant():
+    # CI checks every mutant; tier-1 keeps the script working on one cheap case.
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "mutants.py"), "log_recurrence"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "log_recurrence: killed\n"

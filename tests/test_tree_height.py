@@ -19,6 +19,7 @@ import copy
 import gc
 import io
 import time
+from fractions import Fraction
 
 from jetcheck.cli import run
 from jetcheck.exprs import (
@@ -118,7 +119,7 @@ def test_the_walks_of_a_derivative_fit_its_bound():
     assert MAX_DERIVATIVE_HEIGHT >= 3 * MAX_HEIGHT
     assert _height(tree, {}) == MAX_DERIVATIVE_HEIGHT
     assert not contains_float(tree)
-    assert _eval(tree, Scalar(2), False, {}) == Scalar.exact(1, 2 ** (MAX_DERIVATIVE_HEIGHT - 2))
+    assert _eval(tree, Fraction(2), False, {}) == Fraction(1, 2 ** (MAX_DERIVATIVE_HEIGHT - 2))
     diff(tree)
 
 
