@@ -22,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 JETS, IDENTITIES = "src/jetcheck/jets.py", "src/jetcheck/identities.py"
+CLI, PARSING = "src/jetcheck/cli.py", "src/jetcheck/parsing.py"
 DIVISION_GRID = "tests/test_jets.py::test_division_and_number_operands_keep_their_bits"
 
 # name: (file, old text, new text, the test that kills the mutant)
@@ -59,6 +60,16 @@ MUTANTS = {
     "float_power_unit": (
         JETS, "if unit.__class__ is float or not m else None", "if not m else None",
         "tests/test_jets.py::test_float_powers_keep_the_product_by_the_unit"),
+    # a subcommand found by prefix, so that "ver" runs verify's parser
+    "dispatch_by_prefix": (
+        CLI, "_PARSER.commands.get(argv[0])",
+        "next((p for name, p in _PARSER.commands.items() if name.startswith(argv[0])), None)",
+        "tests/test_cli.py::test_dispatch_writes_what_the_whole_parser_writes"),
+    # an exponent's errors placed at the token after the exponent, not at its first
+    "exponent_error_offset": (
+        PARSING, "exponent = self.factor()[0]\n",
+        "exponent = self.factor()[0]\n        first = self.pos\n",
+        "tests/test_parser_differential.py::test_random_strings_parse_as_the_reference"),
 }
 
 

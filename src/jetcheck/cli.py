@@ -31,6 +31,7 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Sequence, TextIO
 
 from .exprs import Expr
@@ -69,7 +70,8 @@ class _Parser(argparse.ArgumentParser):
     so :func:`run` writes it as one line to its own ``stderr``, and its help
     text by raising _Help, so :func:`run` writes it to its own ``stdout``;
     subcommand parsers inherit the class.  ``value_flags`` holds the option
-    strings of the flags added to it that take a value."""
+    strings of the flags added to it that take a value, and ``commands`` the
+    parser of each subcommand by name."""
 
     def __init__(self, **kwargs) -> None:
         self.value_flags: set[str] = set()
@@ -169,11 +171,13 @@ def report_dict(report: VerificationReport) -> dict:
 
 def _json(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2) without its pure-Python encoder, which leaves reference cycles."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if not value or not isinstance(value, (dict, list)):
-        return json.dumps(value)
+        return "null" if value is None else json.dumps(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{json.dumps(key)}: {_json(v, inner)}" for key, v in value.items()]
+        items = [f"{encode_basestring_ascii(key)}: {_json(v, inner)}" for key, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
 
@@ -301,6 +305,7 @@ def build_parser() -> _Parser:
     sw.set_defaults(handler=_handle_sweep)
 
     parser.value_flags = set().union(*(sp.value_flags for sp in sub.choices.values()))
+    parser.commands = dict(sub.choices)
     return parser
 
 
@@ -419,7 +424,7 @@ def _join_flag_values(argv: Sequence[str], value_flags: set[str]) -> list[str]:
     return out
 
 
-# Built once: parsing only reads the parser, so concurrent run() calls share it.
+# Built once: parsing only reads the parsers, so concurrent run() calls share them.
 _PARSER = build_parser()
 
 
@@ -428,7 +433,11 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = _PARSER.parse_args(_join_flag_values(argv, _PARSER.value_flags))
+        argv = _join_flag_values(argv, _PARSER.value_flags)
+        # argv led by a subcommand's name goes straight to that parser, as _PARSER
+        # would send it; any other argv, and every message about the command, to _PARSER.
+        command = _PARSER.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
         if getattr(args, "float_mode", False):
             vars(args).update({key: _to_float(value) for key, value in vars(args).items()})
         return args.handler(args, stdout, stderr)

@@ -521,33 +521,33 @@ def _height(e: Expr, heights: dict[int, int]) -> int:
 # power 4, atoms 5.  Each node is classified once, for its text and its level.
 
 def _txt(e: Expr, min_prec: int) -> str:
-    if isinstance(e, Const):
+    if (cls := e.__class__) is Const:
         # a negative constant prints with a leading minus
-        s, p = e.value.as_text(), (3 if e.value < 0 else 5)
-    elif isinstance(e, Var):
+        s, p = e.value.as_text(), (3 if e.value.value < 0 else 5)
+    elif cls is Var:
         s, p = "x", 5
-    elif isinstance(e, Neg):
-        s, p = "-" + _txt(e.arg, 3), 3
-    elif isinstance(e, Add):
-        s, p = f"{_txt(e.left, 1)} + {_txt(e.right, 2)}", 1
-    elif isinstance(e, Sub):
-        s, p = f"{_txt(e.left, 1)} - {_txt(e.right, 2)}", 1
-    elif isinstance(e, Mul):
+    elif cls is Mul:
         s, p = f"{_txt(e.left, 2)}*{_txt(e.right, 3)}", 2
-    elif isinstance(e, Div):
+    elif cls is Add:
+        s, p = f"{_txt(e.left, 1)} + {_txt(e.right, 2)}", 1
+    elif cls is Sub:
+        s, p = f"{_txt(e.left, 1)} - {_txt(e.right, 2)}", 1
+    elif cls is PowInt:
+        s, p = f"{_txt(e.base, 5)}^{e.exponent}", 4
+    elif cls is Neg:
+        s, p = "-" + _txt(e.arg, 3), 3
+    elif cls is Div:
         right = _txt(e.right, 3)
         if right[0].isdigit():
             # keep the lexer from gluing a trailing integer on the left onto
             # '/<digits>' as a rational literal
             right = f"({right})"
         s, p = f"{_txt(e.left, 2)}/{right}", 2
-    elif isinstance(e, PowInt):
-        s, p = f"{_txt(e.base, 5)}^{e.exponent}", 4
-    elif isinstance(e, PowReal):
+    elif cls is PowReal:
         exp = e.exponent
         exp_txt = f"({exp.as_text()})" if exp.is_exact else exp.as_text()
         s, p = f"{_txt(e.base, 5)}^{exp_txt}", 4
-    elif isinstance(e, Apply):
+    elif cls is Apply:
         s, p = f"{e.fn}({_txt(e.arg, 1)})", 5
     else:
         raise TypeError(f"not an expression node: {e!r}")

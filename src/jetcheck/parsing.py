@@ -15,6 +15,8 @@ Notes on the lexical level:
 * One regular expression reads each token after its blanks: a NUMBER, a
   word, an operator or the end.  A name is a word that starts with a letter
   or ``_``; any other word or character is a parse error at its offset.
+  The first such error in the text, or the first literal out of range,
+  comes before any error of the grammar.
 * ``p/q`` with no intervening whitespace is a single rational literal, so
   ``3/4`` is the constant three-quarters (and ``3/4^2`` is (3/4)^2), while
   ``3 / 4`` and ``x/4`` are divisions.
@@ -30,9 +32,10 @@ Notes on the lexical level:
 * The tree is at most ``MAX_HEIGHT`` nodes high, chains such as ``x+x+...``
   included, so the recursive walks of a parsed tree fit in the interpreter's
   stack; a higher node is a parse error at the token that would build it.
-* An integer longer than the interpreter's int-to-str digit limit and a
-  decimal beyond the float range are parse errors.  :func:`parse_number`
-  reads one signed NUMBER with the same pattern, for command-line values.
+* An integer longer than the interpreter's int-to-str digit limit, a
+  decimal beyond the float range and a constant exponent whose fold
+  overflows are parse errors.  :func:`parse_number` reads one signed
+  NUMBER, for command-line values.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from functools import partial
-from typing import NamedTuple
+from typing import NoReturn
 
 from .exprs import (
     MAX_HEIGHT,
@@ -56,7 +58,6 @@ from .exprs import (
     PowReal,
     Sub,
     Add,
-    Var,
     X,
     constant_value,
 )
@@ -81,19 +82,16 @@ class ParseError(ValueError):
         super().__init__(f"parse error at offset {offset}: expected {expected}, found {found}")
 
 
-class _Token(NamedTuple):
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    offset: int
-    value: Scalar | None = None
-
-
-# Blanks, then one token: a NUMBER, a word, an operator, the end or any other
-# character.  \s, \d and \w match exactly str.isspace, str.isdecimal and
-# str.isalnum() or "_"; a word's first character is checked by _tokenize.
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+|/\d+)?)|(?P<name>\w+)|(?P<op>[-+*/^()])"
-                    r"|(?P<end>\Z)|(?P<other>.))", re.DOTALL)
-_SIGN = re.compile(r"\s*([-+]?)(?=\d)")
+# Blanks, then the text of one token: a NUMBER, a word, an operator, '' at the
+# end or any other character.  \s, \d and \w match exactly str.isspace,
+# str.isdecimal and str.isalnum() or "_", so a token's first character tells
+# its kind; a word's first character is checked by _offsets.
+_LITERAL = r"\d+(?:\.\d+|/\d+)?"
+_TOKEN = re.compile(rf"\s*({_LITERAL}|\w+|[-+*/^()]|\Z|.)", re.DOTALL)
+# One signed NUMBER, then blanks to the end (group 3) or anything else.
+_NUMBER = re.compile(rf"\s*([-+]?)({_LITERAL})(\s*\Z)?")
+_HIGH = f"a tree at most {MAX_HEIGHT} levels high"
+_DEEP = f"at most {MAX_NESTING} levels of nesting"
 
 
 def _integer(digits: str, offset: int) -> int:
@@ -127,160 +125,148 @@ def parse_number(text: str) -> int | Fraction | float | None:
     an int, a Fraction or a float by the literal's form (``-0.0`` keeps its
     sign), or None when ``text`` is anything else.  A literal out of range
     raises :class:`ParseError`, as it does in an expression."""
-    sign = _SIGN.match(text)
-    if sign is None:
+    match = _NUMBER.match(text)
+    if match is None:
         return None
-    number = _TOKEN.match(text, sign.end())
-    value = _number(number["num"], sign.end())
-    if _TOKEN.match(text, number.end()).lastgroup != "end":
+    value = _number(match[2], match.start(2))
+    if match[3] is None:
         return None
-    return -value if sign[1] == "-" else value
+    return -value if match[1] == "-" else value
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _offsets(source: str) -> list[int]:
+    """The offset of each token of ``source`` up to its end; a ParseError at
+    the first token that is not a number, a name or an operator, or that is
+    a literal out of range."""
+    offsets = []
     for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        text, offset = match[kind], match.start(kind)
-        if kind == "end":
-            tokens.append(_Token(kind, "end of input", offset))
+        text, offset = match[1], match.start(1)
+        offsets.append(offset)
+        if not text:
             break
-        if kind == "other" or (kind == "name" and not (text[0].isalpha() or text[0] == "_")):
+        if text[0].isdecimal():
+            _number(text, offset)
+        elif not (text[0].isalpha() or text[0] == "_" or text in "-+*/^()"):
             raise ParseError(offset, "a number, name, or operator", repr(text[0]))
-        tokens.append(_Token(kind, text, offset, Scalar(_number(text, offset)) if kind == "num" else None))
-    return tokens
+    return offsets
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """One parse of a list of token texts, ending in ''.  Each rule returns its
+    node with the node's height (1 for a leaf) and the largest product of
+    integer-power exponent magnitudes on a path down from it (at least 1).
+    A ParseError raised here carries a token's index as its offset."""
+
+    __slots__ = ("texts", "pos", "depth")
+
+    def __init__(self, texts: list[str]):
+        self.texts = texts
         self.pos = 0
         self.depth = 0  # groups, function arguments, signs and exponents now open
-        # id of each node built above the leaves (each (1, 1), never looked up)
-        # -> its height and the largest product of integer-power exponent
-        # magnitudes on a path down from it, at least 1; written as the node is
-        # built, so an id that a freed exponent left behind is never read stale.
-        self.records: dict[int, tuple[int, int]] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, at: int, expected: str, found: str | None = None) -> NoReturn:
+        text = self.texts[at]
+        raise ParseError(at, expected, found or (f"'{text}'" if text else "end of input"))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
+    def binary(self, level: int) -> tuple[Expr, int, int]:
+        """A sum (level 0) or a product (level 1) of the operands one level down."""
+        node, height, most = self.binary(1) if level == 0 else self.factor()
+        ops, texts = _BINARY[level], self.texts
+        build = ops.get(texts[self.pos])
+        while build is not None:
+            at = self.pos
+            self.pos = at + 1
+            right, h, p = self.binary(1) if level == 0 else self.factor()
+            if h > height:
+                height = h
+            if p > most:
+                most = p
+            if height == MAX_HEIGHT:
+                self.fail(at, _HIGH, "one more")
+            node, height = build(node, right), height + 1
+            build = ops.get(texts[self.pos])
+        return node, height, most
+
+    def factor(self) -> tuple[Expr, int, int]:
+        """A signed factor, or an atom with its exponent, if any: unary, power
+        and atom of the grammar in one frame per level."""
+        texts, at = self.texts, self.pos
+        text = texts[at]
+        self.pos = at + 1
+        if text == "x":
+            node, height, most = X, 1, 1
+        elif text[:1].isdecimal():
+            node, height, most = Const(Scalar(_number(text, 0))), 1, 1
+        elif text == "-":
+            if self.depth == MAX_NESTING:
+                self.fail(at, _DEEP, "one more")
+            self.depth += 1
+            arg, height, most = self.factor()
+            self.depth -= 1
+            if height == MAX_HEIGHT:
+                self.fail(at, _HIGH, "one more")
+            return Neg(arg), height + 1, most
+        elif text == "(" or text in ELEMENTARY_FUNCTIONS:
+            if text != "(":
+                if texts[self.pos] != "(":
+                    self.fail(self.pos, f"'(' after '{text}'")
+                self.pos += 1
+            if self.depth == MAX_NESTING:
+                self.fail(at, _DEEP, "one more")
+            self.depth += 1
+            node, height, most = self.binary(0)
+            self.depth -= 1
+            if texts[self.pos] != ")":
+                self.fail(self.pos, f"')' to close the {'group' if text == '(' else 'function argument'}")
             self.pos += 1
-        return tok
-
-    def match_op(self, op: str) -> _Token | None:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == op:
-            return self.advance()
-        return None
-
-    def expect_op(self, op: str, context: str) -> None:
-        if self.match_op(op) is None:
-            tok = self.peek()
-            raise ParseError(tok.offset, f"'{op}' {context}", self._describe(tok))
-
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        return tok.text if tok.kind == "end" else f"'{tok.text}'"
-
-    def expr(self, level: int = 0) -> Expr:
-        """A sum (level 0) or a product (level 1) of the operands one level down;
-        a partial, not a lambda, so that a nesting level costs no extra frame."""
-        operand = partial(self.expr, level + 1) if level + 1 < len(_BINARY) else self.unary
-        node = operand()
-        while True:
-            tok = self.peek()
-            build = _BINARY[level].get(tok.text)  # only an operator's text is a key
-            if build is None:
-                return node
-            self.advance()
-            right = operand()
-            node = self._record(tok, build(node, right), node, right)
-
-    def _nested(self, tok: _Token, parse) -> Expr:
-        """``parse()`` one level deeper, the level ``tok`` opens; at most MAX_NESTING."""
+            if text != "(":
+                if height == MAX_HEIGHT:
+                    self.fail(at, _HIGH, "one more")
+                node, height = Apply(text, node), height + 1
+        else:
+            self.fail(at, "'x' or a function name" if text[:1].isalpha() or text[:1] == "_"
+                      else "a number, 'x', a function name, or '('")
+        caret = self.pos
+        if texts[caret] != "^":
+            return node, height, most
         if self.depth == MAX_NESTING:
-            raise ParseError(tok.offset, f"at most {MAX_NESTING} levels of nesting", "one more")
+            self.fail(caret, _DEEP, "one more")
+        self.pos = first = caret + 1
         self.depth += 1
-        node = parse()
+        exponent = self.factor()[0]
         self.depth -= 1
-        return node
-
-    def _record(self, tok: _Token, node: Expr, *children: Expr, product: int | None = None) -> Expr:
-        """``node``, which ``tok`` builds over ``children``, recorded: one level
-        higher than the highest of them and at most MAX_HEIGHT, with a power's
-        own exponent ``product`` or else the largest of theirs."""
-        height, most = 1, 1
-        for child in children:
-            if not isinstance(child, (Const, Var)):
-                h, p = self.records[id(child)]
-                if h > height:
-                    height = h
-                if p > most:
-                    most = p
-        if height == MAX_HEIGHT:
-            raise ParseError(tok.offset, f"a tree at most {MAX_HEIGHT} levels high", "one more")
-        self.records[id(node)] = (height + 1, most if product is None else product)
-        return node
-
-    def unary(self) -> Expr:
-        tok = self.match_op("-")
-        if tok is None:
-            return self.power()
-        arg = self._nested(tok, self.unary)
-        return self._record(tok, Neg(arg), arg)
-
-    def power(self) -> Expr:
-        base = self.atom()
-        tok = self.match_op("^")
-        if tok is None:
-            return base
-        exp_tok = self.peek()
-        exponent = self._nested(tok, self.unary)
-        value = constant_value(exponent)
-        if value is None:
-            raise ParseError(exp_tok.offset, "a constant exponent", "a non-constant expression")
+        if exponent.__class__ is Const:
+            value = exponent.value
+        else:
+            try:
+                value = constant_value(exponent)
+            except OverflowError:  # the fold left the float range
+                self.fail(first, "an exponent within the float range", "one that overflows")
+            if value is None:
+                self.fail(first, "a constant exponent", "a non-constant expression")
         if not (value.is_exact and value.value.denominator == 1):
-            return self._record(tok, PowReal(base, value), base)
+            if height == MAX_HEIGHT:
+                self.fail(caret, _HIGH, "one more")
+            return PowReal(node, value), height + 1, most
         k = int(value.value)
-        try:
-            folded = constant_value(base)
-        except OverflowError:  # a float power beyond the float range, not an exact one
-            folded = None
-        nested = abs(k) * (1 if isinstance(base, (Const, Var)) else self.records[id(base)][1])
+        folded = None
+        if node.__class__ is Const:
+            folded = node.value
+        elif node is not X:
+            try:
+                folded = constant_value(node)
+            except OverflowError:  # a float power beyond the float range, not an exact one
+                pass
         q = folded.value if folded is not None and folded.is_exact else 1
+        nested = abs(k) * most
         bits = abs(k) * max(abs(q.numerator).bit_length(), q.denominator.bit_length())
         if nested > MAX_EXPONENT or bits > MAX_CONSTANT_BITS:
-            raise ParseError(exp_tok.offset, "exponents whose product over nested powers is at most "
-                             f"{MAX_EXPONENT} in magnitude and a power of at most "
-                             f"{MAX_CONSTANT_BITS} bits", "a larger one")
-        return self._record(tok, PowInt(base, k), base, product=max(1, nested))
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            assert tok.value is not None
-            return Const(tok.value)
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "x":
-                return X
-            if tok.text in ELEMENTARY_FUNCTIONS:
-                self.expect_op("(", f"after '{tok.text}'")
-                inner = self._nested(tok, self.expr)
-                self.expect_op(")", "to close the function argument")
-                return self._record(tok, Apply(tok.text, inner), inner)
-            raise ParseError(tok.offset, "'x' or a function name", f"'{tok.text}'")
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            inner = self._nested(tok, self.expr)
-            self.expect_op(")", "to close the group")
-            return inner
-        raise ParseError(tok.offset, "a number, 'x', a function name, or '('", self._describe(tok))
+            self.fail(first, "exponents whose product over nested powers is at most "
+                      f"{MAX_EXPONENT} in magnitude and a power of at most "
+                      f"{MAX_CONSTANT_BITS} bits", "a larger one")
+        if height == MAX_HEIGHT:
+            self.fail(caret, _HIGH, "one more")
+        return PowInt(node, k), height + 1, max(1, nested)
 
 
 def parse(source: str) -> Expr:
@@ -291,9 +277,14 @@ def parse(source: str) -> Expr:
     power exponents folded to a constant so they can be classified as
     integer or real.
     """
-    parser = _Parser(_tokenize(source))
-    node = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(tok.offset, "end of input", parser._describe(tok))
+    parser = _Parser(_TOKEN.findall(source))
+    try:
+        node = parser.binary(0)[0]
+        if parser.texts[parser.pos]:
+            parser.fail(parser.pos, "end of input")
+    except ParseError as err:
+        # The first lexical error of the whole text comes first, a literal out
+        # of range read by the parser included; else the error is the parser's.
+        offsets = _offsets(source)
+        raise ParseError(offsets[err.offset], err.expected, err.found) from None
     return node

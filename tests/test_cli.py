@@ -170,6 +170,31 @@ def test_help_exits_0():
     assert out.startswith("usage: jetcheck")
 
 
+@pytest.mark.parametrize("argv", [
+    (), ("--help",), ("frobnicate",), ("ver",), ("verify",),
+    ("verify", "--help"), ("binomid", "--help"), ("lemma", "--help"), ("sweep", "--help"),
+    ("verify", "baran", "stray", "--n", "2", "--f", "x", "--g", "x^2", "--at", "3"),
+    ("--json", "lemma", "--f", "x^2-1", "--n", "2", "--at", "1"),
+    ("sweep", "--trials", "two"),
+])
+def test_dispatch_writes_what_the_whole_parser_writes(argv):
+    # run() hands argv led by a subcommand straight to that subcommand's
+    # parser; its help and its errors are those of the whole parser on the
+    # running interpreter, byte for byte
+    from jetcheck import cli
+
+    parser = cli.build_parser()
+    try:
+        parser.parse_args(cli._join_flag_values(argv, parser.value_flags))
+    except cli._Help as help_text:
+        expected = (0, str(help_text), "")
+    except cli.UsageError as message:
+        expected = (2, "", f"error: {message}\n")
+    else:
+        raise AssertionError(f"{argv} parsed")
+    assert invoke(*argv) == expected
+
+
 def test_superscript_exponent_is_one_error_line():
     code, out, err = invoke("verify", "baran", "--n", "2", "--f", "x^²", "--g", "x", "--at", "1")
     assert code == 2 and out == ""
@@ -568,6 +593,14 @@ def test_literals_out_of_range_are_one_usage_error_line(argv, flag, offset, foun
     assert code == 2 and out == ""
     assert err.startswith(f"error: argument {flag}: parse error at offset {offset}: ")
     assert found in err and err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("f", ["x^(2.0^2000)", "x^(1.0*" + "9" * 400 + ")"])
+def test_an_exponent_that_overflows_is_a_parse_error_of_its_flag(f):
+    code, out, err = invoke("verify", "baran", "--n", "1", "--f", f, "--g", "x", "--at", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: argument --f: parse error at offset 2: expected an exponent "
+                   "within the float range, found one that overflows\n")
 
 
 def test_overflow_prints_the_text_of_an_errno_pair():

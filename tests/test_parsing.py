@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 import sys
 import time
@@ -241,6 +242,20 @@ def test_nested_integer_powers_are_bounded_by_their_product(text):
                                   "((x+1)^10000)^0", "(x^5000)^2.5", "x^10000*x^10000"])
 def test_nested_integer_powers_within_the_bound_parse(text):
     parse(text)
+
+
+@pytest.mark.parametrize("text", ["x^(2.0^2000)", "x^(1.0*" + "9" * 400 + ")"])
+def test_a_constant_exponent_that_overflows_is_a_parse_error(text):
+    # folding the exponent raises OverflowError, which is reported at its first token
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.offset, err.value.expected, err.value.found) == (
+        2, "an exponent within the float range", "one that overflows")
+
+
+def test_an_exponent_that_folds_to_inf_is_left_to_evaluation():
+    # a finite product that rounds to inf raises nothing, as a float base beyond the range
+    assert parse("x^(10.0^308*10)") == PowReal(Var(), Scalar.inexact(math.inf))
 
 
 def test_a_power_of_a_float_beyond_the_float_range_parses():
