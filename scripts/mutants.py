@@ -22,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 JETS, IDENTITIES = "src/jetcheck/jets.py", "src/jetcheck/identities.py"
+EXPRS = "src/jetcheck/exprs.py"
 CLI, PARSING = "src/jetcheck/cli.py", "src/jetcheck/parsing.py"
 DIVISION_GRID = "tests/test_jets.py::test_division_and_number_operands_keep_their_bits"
 
@@ -37,9 +38,13 @@ MUTANTS = {
         " for a in self._values], None)", DIVISION_GRID),
     # a float shift that keeps a_k (and so -0.0) instead of op(a_k, 0)
     "float_shift_keeps_the_tail": (
-        JETS, "*[op(v, 0) for v in values[1:]]",
-        "*[v if den is None else op(v, 0) for v in values[1:]]",
+        JETS, "*[op(v, 0) for v in values[1:]]", "*values[1:]",
         "tests/test_jets.py::test_number_operands_of_float_jets_keep_the_termwise_bits"),
+    # a node's float flag that ignores a float PowReal exponent
+    "float_exponent_flag": (
+        EXPRS, '"has_float", base.has_float or not exponent.is_exact)',
+        '"has_float", base.has_float)',
+        "tests/test_expr_nodes.py::test_the_flag_equals_the_walk_on_every_subtree"),
     # the log recurrence divided once by k * a_0
     "log_recurrence": (
         JETS, "b.append(acc / k / a[0])", "b.append(acc / (k * a[0]))",

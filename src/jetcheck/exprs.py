@@ -15,21 +15,22 @@ consumers share the representation:
 
 A single decimal constant anywhere in a tree marks the whole evaluation as
 float mode; otherwise evaluation inherits the mode of the evaluation point.
-:func:`_mode_for` is the one statement of that rule, for every walk and every
-verifier.  Exact mode refuses transcendental nodes with a ModeError rather
-than returning a rounded value.  Constant folding (:func:`constant_value`,
-which the parser and the constructors of :func:`diff` use) is the evaluator
-run without a point, so a constant folds to the value the same text
-evaluates to anywhere else.
+The first half of the rule is stated at construction: every node records in
+``has_float`` whether a float literal lies at or below it, so a tree is never
+walked for its mode.  :func:`_mode_for` is the one statement of the whole
+rule, for every walk and every verifier.  Exact mode refuses transcendental
+nodes with a ModeError rather than returning a rounded value.  Constant
+folding (:func:`constant_value`, which the parser and the constructors of
+:func:`diff` use) is the evaluator run without a point, so a constant folds
+to the value the same text evaluates to anywhere else.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .jets import ELEMENTARY_FUNCTIONS, Jet
 from .numeric import DomainError, ModeError, Scalar
@@ -42,69 +43,120 @@ from .numeric import DomainError, ModeError, Scalar
 MAX_HEIGHT = 200
 MAX_DERIVATIVE_HEIGHT = 3 * MAX_HEIGHT
 
-
-@dataclass(frozen=True, slots=True)
-class Const:
-    value: Scalar
+_set = object.__setattr__  # how a node's own __init__ sets its slots
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    pass
+class Expr:
+    """The base of the ten node classes, immutable.  A node's fields, named in
+    ``_fields``, are its value: they give its ``==``, ``hash``, ``repr`` and
+    pickled state, as a frozen dataclass's fields give its own; unpickling
+    runs the constructor.  ``has_float``, set by each constructor and not a
+    field, is True when a float literal lies at or below the node."""
+
+    __slots__ = ("has_float",)
+    _fields: tuple[str, ...] = ()
+
+    def __getstate__(self) -> list:
+        return [getattr(self, name) for name in self._fields]
+
+    def __setstate__(self, state: list) -> None:
+        self.__init__(*state)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__getstate__() == other.__getstate__()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__getstate__()))
+
+    def __repr__(self) -> str:
+        fields = [f"{name}={value!r}" for name, value in zip(self._fields, self.__getstate__())]
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    arg: "Expr"
+class Const(Expr):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Scalar):
+        _set(self, "value", value)
+        _set(self, "has_float", not value.is_exact)
 
 
-@dataclass(frozen=True, slots=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Var(Expr):
+    __slots__ = _fields = ()
+
+    def __init__(self):
+        _set(self, "has_float", False)
 
 
-@dataclass(frozen=True, slots=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Neg(Expr):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
+        _set(self, "has_float", arg.has_float)
 
 
-@dataclass(frozen=True, slots=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class _Binary(Expr):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "has_float", left.has_float or right.has_float)
 
 
-@dataclass(frozen=True, slots=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PowInt:
-    base: "Expr"
-    exponent: int
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PowReal:
-    base: "Expr"
-    exponent: Scalar
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Apply:
-    fn: str
-    arg: "Expr"
-
-    def __post_init__(self) -> None:
-        if self.fn not in ELEMENTARY_FUNCTIONS:
-            raise ValueError(f"unknown function {self.fn!r}")
+class Div(_Binary):
+    __slots__ = ()
 
 
-Expr = Union[Const, Var, Neg, Add, Sub, Mul, Div, PowInt, PowReal, Apply]
+class PowInt(Expr):
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "has_float", base.has_float)
+
+
+class PowReal(Expr):
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: Scalar):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "has_float", base.has_float or not exponent.is_exact)
+
+
+class Apply(Expr):
+    __slots__ = _fields = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: Expr):
+        if fn not in ELEMENTARY_FUNCTIONS:
+            raise ValueError(f"unknown function {fn!r}")
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "has_float", arg.has_float)
+
 
 X = Var()
 
@@ -258,29 +310,12 @@ def _diff(e: Expr, memo: dict[int, Expr]) -> Expr:
 
 
 def contains_float(e: Expr) -> bool:
-    """True when the tree carries a float literal (which forces float mode);
-    an explicit stack, left subtree first, on each node's exact class."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        cls = node.__class__
-        if cls is Const:
-            if not node.value.is_exact:
-                return True
-        elif cls is Mul or cls is Add or cls is Sub or cls is Div:
-            stack.append(node.right)
-            stack.append(node.left)
-        elif cls is PowInt:
-            stack.append(node.base)
-        elif cls is Neg or cls is Apply:
-            stack.append(node.arg)
-        elif cls is PowReal:
-            if not node.exponent.is_exact:
-                return True
-            stack.append(node.base)
-        elif cls is not Var:
-            raise TypeError(f"not an expression node: {node!r}")
-    return False
+    """True when the tree carries a float literal (which forces float mode):
+    the flag its root recorded when it was built."""
+    try:
+        return e.has_float
+    except AttributeError:
+        raise TypeError(f"not an expression node: {e!r}") from None
 
 
 class _NoPoint(Exception):

@@ -259,7 +259,7 @@ def _finish(
     would pass with lhs = 0 as well; it gets a note giving both numbers, and
     its verdict stands."""
     plain = Fraction if mode == "exact" else float
-    lhs, rhs, scale = (Scalar(plain(v)) for v in (lhs, rhs, scale))
+    lhs, rhs, scale = (Scalar(v if v.__class__ is plain else plain(v)) for v in (lhs, rhs, scale))
     if rhs_shift is not None:
         rhs = rhs + (rhs_shift.to_float() if mode == "float" else rhs_shift)
         notes = notes + (f"rhs perturbed by {rhs_shift.as_text()}",)
@@ -289,14 +289,19 @@ def _report(
     return VerificationReport(identity, params, mode, *sides, tolerance, verdict, notes)
 
 
-def _hypothesis_note(what: str, values: Sequence, mode: str) -> str | None:
-    """The note when a hypothesis that ``values`` sum to zero fails (in float
-    mode: beyond HYPOTHESIS_TOL * (1 + the sum of magnitudes)), else None."""
+def _hypothesis_note(what: str, values: Sequence, den: int, mode: str) -> str | None:
+    """The note when a hypothesis that ``values`` / den sum to zero fails (in
+    float mode, where den is 1: beyond HYPOTHESIS_TOL * (1 + the sum of
+    magnitudes)), else None.  Exact values are integers, so only a note's
+    sum becomes a Fraction."""
     total = ordered_sum(values)
     if total == 0:
         return None
-    if mode == "float" and abs(total) <= HYPOTHESIS_TOL * (1.0 + ordered_sum(map(abs, values))):
-        return None
+    if mode == "float":
+        if abs(total) <= HYPOTHESIS_TOL * (1.0 + ordered_sum(map(abs, values))):
+            return None
+    else:
+        total = Fraction(total, den)
     return f"hypothesis failed: {what} is {_text(total)}, not 0"
 
 
@@ -359,12 +364,15 @@ def _binomial_convolution(a: Sequence, b: Sequence, rows: list, entries: Iterabl
 
 def _powers(g: Sequence, n: int) -> list[Sequence]:
     """g^0 .. g^n, each truncated to the order of g; an exact g^1 is g itself, a
-    float one the product by the unit, which can move bits (see series_pow)."""
+    float one the product by the unit, which can move bits (see series_pow).
+    Each product is :func:`series_mul` by g, on g's reversed prefixes built once."""
     powers = [[1] + [0] * (len(g) - 1)]
     if n and g[0].__class__ is not float:
         powers.append(g)
+    prefixes = [g[m::-1] for m in range(len(g))]
     while len(powers) <= n:
-        powers.append(series_mul(powers[-1], g))
+        last = powers[-1]
+        powers.append([reduce(operator.add, map(operator.mul, last, p), 0) for p in prefixes])
     return powers
 
 
@@ -373,8 +381,8 @@ def _derivative_table(f: tuple, g_powers: list, d_g: int, s: int, mode: str, c=1
     c_num^k s! [t^s](F G^k) over d_f (d_g c_den)^k, one dot product each,
     because only the s-th coefficient of f * g^k is read; f = (F, d_f) from
     :meth:`Jet.cleared`, g_powers the powers of G from :func:`_powers`."""
-    (f, d), ((c,), c_den) = f, _cleared([c], mode)
-    values = [math.factorial(s) * coefficient(f, p, s) for p in g_powers]
+    (f, d), ((c,), c_den), weight = f, _cleared([c], mode), math.factorial(s)
+    values = [weight * coefficient(f, p, s) for p in g_powers]
     return values if c == 1 else [c ** k * v for k, v in enumerate(values)], d, d_g * c_den
 
 
@@ -404,7 +412,8 @@ def theorem1_verify(
     f = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(inst.f, s)]
     g = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(inst.g, s)]
 
-    note = _hypothesis_note("sum of g_i at x0", [_at(gi, 0, mode) for gi in g], mode)
+    den = math.lcm(*[d for _, d in g])
+    note = _hypothesis_note("sum of g_i at x0", [v[0] * (den // d) for v, d in g], den, mode)
     if note is not None:
         return _report("theorem1", params, mode, tol, "precondition_violated", (note,))
 
@@ -429,7 +438,7 @@ def _corollary2_core(
 ) -> VerificationReport:
     x0, mode = _mode_for(x0, tuple(f) + (g,), (*c, rhs_shift))
     c = _plain(c, mode)
-    note = _hypothesis_note("sum of c", c, mode)
+    note = _hypothesis_note("sum of c", *_cleared(c, mode), mode)
     if note is not None:
         return _report(identity, params, mode, tol, "precondition_violated", (note,))
 
@@ -577,7 +586,7 @@ def _family_check(
     params = _params(n=n, r=r, s=s, alpha=alpha, beta=beta, c=c, **extra_params)
     beta, mode = _mode_for(beta, (), (*alpha, *c, rhs_shift))
     alpha, beta, c = _plain(alpha, mode), beta.value, _plain(c, mode)
-    note = _hypothesis_note("sum of c", c, mode)
+    note = _hypothesis_note("sum of c", *_cleared(c, mode), mode)
     if note is None and s.weight != n:
         note = f"this closed form needs |s| = n, got |s| = {s.weight} with n = {n}"
     if note is not None:
@@ -685,7 +694,7 @@ def zero_power_lemma_check(
     params = _params(f=f, n=n, x0=x0)
     x0, mode = _mode_for(x0, (f,), (rhs_shift,))
     f = eval_jet(f, x0, n, mode=mode).cleared()
-    note = _hypothesis_note("f(x0)", [_at(f, 0, mode)], mode)
+    note = _hypothesis_note("f(x0)", f[0][:1], f[1], mode)
     if note is not None:
         return _report("zero_power_lemma", params, mode, tol, "precondition_violated", (note,))
 

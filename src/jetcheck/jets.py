@@ -98,6 +98,11 @@ def series_pow(a: Sequence, m: int) -> list:
     return result
 
 
+def _subtracted_from(a, c):
+    """c - a, the operation of ``c - jet`` on a coefficient a."""
+    return c - a
+
+
 class Jet:
     """Order-n truncated Taylor expansion of a one-variable function."""
 
@@ -237,18 +242,20 @@ class Jet:
     def _shifted(self, other: object, op) -> Jet:
         """op(a_0, c) at coefficient 0 and op(a_k, 0) at every other, in one pass,
         for a number operand c (an exact one over the common denominator): the
-        termwise bits with c's constant jet in floats too (-0.0 + 0.0 is 0.0)."""
+        termwise bits with c's constant jet in floats too (-0.0 + 0.0 is 0.0).
+        An exact op(a_k, 0) is a_k, or -a_k for c - jet, so that tail is copied."""
         c = self._number(other)
         if c is NotImplemented:
             return c
         values, den = self._values, self._den
-        if den is not None:
-            q = c.denominator
-            if den % q:
-                lcm = math.lcm(den, q)
-                values, den = [v * (lcm // den) for v in values], lcm
-            c = c.numerator * (den // q)
-        return Jet._of([op(values[0], c), *[op(v, 0) for v in values[1:]]], den)
+        if den is None:
+            return Jet._of([op(values[0], c), *[op(v, 0) for v in values[1:]]], None)
+        q = c.denominator
+        if den % q:
+            lcm = math.lcm(den, q)
+            values, den = [v * (lcm // den) for v in values], lcm
+        tail = [-v for v in values[1:]] if op is _subtracted_from else values[1:]
+        return Jet._of([op(values[0], c.numerator * (den // q)), *tail], den)
 
     def __add__(self, other: object) -> Jet:
         if isinstance(other, Jet):
@@ -263,7 +270,7 @@ class Jet:
         return self._shifted(other, operator.sub)
 
     def __rsub__(self, other: object) -> Jet:
-        return self._shifted(other, lambda a, c: c - a)
+        return self._shifted(other, _subtracted_from)
 
     def __neg__(self) -> Jet:
         return Jet._of([-a for a in self._values], self._den)

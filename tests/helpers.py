@@ -1,7 +1,7 @@
 """Seeded random generators shared across the equivalence and acceptance
 tests, the composition-enumeration reference for the verifiers'
-left-hand sides, and reference routes for the jet evaluator and for the
-exact right-hand-side product.
+left-hand sides, and reference routes for the jet evaluator, for the
+exact right-hand-side product and for the float flag of a tree.
 
 Everything here is driven by an explicit ``random.Random`` so tests are
 reproducible; hypothesis-based strategies live in the test modules that use
@@ -297,6 +297,33 @@ REFERENCES = {
 
 
 # Reference routes ------------------------------------------------------------
+
+
+def reference_contains_float(e: Expr) -> bool:
+    """The tree walk that ``Expr.has_float`` replaced, kept verbatim as its
+    reference: True when the tree carries a float literal; an explicit stack,
+    left subtree first, on each node's exact class."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls is Const:
+            if not node.value.is_exact:
+                return True
+        elif cls is Mul or cls is Add or cls is Sub or cls is Div:
+            stack.append(node.right)
+            stack.append(node.left)
+        elif cls is PowInt:
+            stack.append(node.base)
+        elif cls is Neg or cls is Apply:
+            stack.append(node.arg)
+        elif cls is PowReal:
+            if not node.exponent.is_exact:
+                return True
+            stack.append(node.base)
+        elif cls is not Var:
+            raise TypeError(f"not an expression node: {node!r}")
+    return False
 
 
 def reference_eval_jet(e: Expr, x0: Scalar, order: int) -> Jet:

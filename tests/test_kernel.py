@@ -7,6 +7,7 @@ agree: the reference verdict compares the reference lhs with the report's
 rhs at the report's tolerance, scaled by the reference scale.
 """
 
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -26,7 +27,9 @@ from helpers import (
     reference_product,
 )
 from jetcheck import identities
-from jetcheck.exprs import Div, Mul, X, add, const, eval_jet, eval_scalar, neg, pow_int, sub
+from jetcheck.exprs import (
+    Add, Const, Div, Mul, X, add, const, eval_jet, eval_scalar, neg, pow_int, sub,
+)
 from jetcheck.identities import IDENTITIES, SweepConfig, TheoremInstance, sweep
 from jetcheck.jets import clear_denominators
 from jetcheck.numeric import MultiIndex, Scalar
@@ -516,6 +519,62 @@ def test_float_kernel_is_bit_identical_to_a_full_fold():
                 assert [v.hex() for v in got] == [v.hex() for v in _full_fold(tables, n)]
                 checked += 1
     assert checked == 180
+
+
+# Bits of the float tables and of whole float verifications, on g lists and
+# jets whose tails hold -0.0 and 1e300: SHA-256 over the float.hex() of every
+# power, table entry and report side (or the error a verification raises), one
+# line each; any change in the order of a float operation changes it.
+FLOAT_TAILS = ([1.5, -0.0, 0.25, -3.0, -0.0], [0.5, 1e300, -0.0, 2.0, 0.75],
+               [-0.0, -0.0, 1.0, -0.0, 1e300])
+FLOAT_TREES = (Mul(Const(Scalar(-0.0)), X), Add(X, Mul(Const(Scalar(1e300)), pow_int(X, 2))),
+               parse("x^2 - 0.5*x"), parse("exp(x) - 1.5"), Mul(Const(Scalar(1e300)), pow_int(X, 3)))
+FLOAT_POINTS = (Scalar(0.5), Scalar(-1.5))
+FLOAT_DIGEST = "755d4074ca1a242ff67a6286bb114108813d2dd9f66b96e5d4f5a7c9230f5a41"
+
+
+def _hexes(values) -> str:
+    return ",".join(v.hex() for v in values)
+
+
+def float_outputs() -> tuple[str, int]:
+    digest, lines = hashlib.sha256(), 0
+
+    def line(text):
+        nonlocal lines
+        digest.update((text + "\n").encode())
+        lines += 1
+
+    for g in FLOAT_TAILS:
+        for n in (0, 1, 2, 5):
+            powers = identities._powers(g, n)
+            for power in powers:
+                line(_hexes(map(float, power)))
+            for f in FLOAT_TAILS:
+                for s, c in ((0, 1), (2, 1), (4, -2.5), (3, -0.0)):
+                    values, d, e = identities._derivative_table((f, 1), powers, 1, s, "float", c)
+                    line(f"{_hexes(values)} {d} {e}")
+    calls = []
+    for x0 in FLOAT_POINTS:
+        for n in (1, 3, 6):
+            for f in FLOAT_TREES:
+                for g in FLOAT_TREES:
+                    inst = TheoremInstance(n=n, r=2, f=(f, g), g=(g, neg(g)), s=(n - 1, 1), x0=x0)
+                    calls += [(identities.baran_verify, (n, f, g, x0)),
+                              (identities.theorem1_verify, (inst,))]
+    for verify, args in calls:
+        try:
+            r = verify(*args)
+        except OverflowError as err:
+            line(str(err))
+        else:
+            sides = (r.lhs, r.rhs, r.residual, r.cancellation_scale)
+            line(f"{_hexes(side.value for side in sides)} {r.verdict}")
+    return digest.hexdigest(), lines
+
+
+def test_float_tables_and_verifications_keep_their_bits():
+    assert float_outputs() == (FLOAT_DIGEST, 480)
 
 
 # identities._product against the Fraction-by-Fraction route: the same

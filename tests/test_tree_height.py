@@ -3,7 +3,8 @@ at theirs, ``exprs.MAX_DERIVATIVE_HEIGHT``.
 
 Every walk of the library, the printer, the evaluators and the CLI over a
 tree of exactly that height ends without ``RecursionError``, and so do the
-dataclass methods and ``copy.deepcopy``, and so does the first derivative
+node methods (``==``, ``hash``, ``repr``), ``copy.deepcopy`` and a pickle
+round trip, and so does the first derivative
 of the sum, product and quotient chains; one level more is a ``ParseError``
 at the token that would build the higher node, raised at once.  The walks
 that ``nth_derivative`` makes of a derivative fit a tree as high as its
@@ -18,6 +19,7 @@ from __future__ import annotations
 import copy
 import gc
 import io
+import pickle
 import time
 from fractions import Fraction
 
@@ -76,6 +78,7 @@ def check_at_the_bound(text: str, at: str) -> None:
     eval_jet(tree, x0, 2)
     diff(tree)
     assert tree == copy.deepcopy(tree) and hash(tree) == hash(copy.deepcopy(tree))
+    assert pickle.loads(pickle.dumps(tree)) == tree
     assert repr(tree).count("(") >= MAX_HEIGHT
     for argv in (["verify", "baran", "--n", "1", "--f", text, "--g", "x", "--at", at],
                  ["lemma", "--f", text, "--n", "1", "--at", at]):
@@ -112,7 +115,8 @@ def test_first_derivatives_of_the_chains_at_the_bound():
 
 
 def test_the_walks_of_a_derivative_fit_its_bound():
-    # _eval, contains_float and _diff take one frame per level of a quotient chain
+    # _eval and _diff take one frame per level of a quotient chain; the flag
+    # that contains_float reads was set as the chain was built
     tree = X
     for _ in range(MAX_DERIVATIVE_HEIGHT - 1):
         tree = Div(tree, X)
