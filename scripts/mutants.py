@@ -70,6 +70,11 @@ MUTANTS = {
         CLI, "_PARSER.commands.get(argv[0])",
         "next((p for name, p in _PARSER.commands.items() if name.startswith(argv[0])), None)",
         "tests/test_cli.py::test_dispatch_writes_what_the_whole_parser_writes"),
+    # a plain argv pass that takes a repeated flag and keeps its first value,
+    # where argparse keeps the last
+    "plain_parse_keeps_first_repeat": (
+        CLI, "return None  # argparse keeps the last value of a repeated flag", "continue",
+        "tests/test_cli.py::test_plain_pass_agrees_with_argparse_on_the_workload_shapes"),
     # an exponent's errors placed at the token after the exponent, not at its first
     "exponent_error_offset": (
         PARSING, "exponent = self.factor()[0]\n",

@@ -69,19 +69,78 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a usage error by raising UsageError,
     so :func:`run` writes it as one line to its own ``stderr``, and its help
     text by raising _Help, so :func:`run` writes it to its own ``stdout``;
-    subcommand parsers inherit the class.  ``value_flags`` holds the option
-    strings of the flags added to it that take a value, and ``commands`` the
-    parser of each subcommand by name."""
+    subcommand parsers inherit the class.
+
+    Each parser keeps a table of the actions added to it, which
+    :meth:`parse_plain` reads: ``options`` maps each option string that takes
+    a value to its slot (dest, type, choices), ``switches`` each store_true
+    flag to its slot and const, ``positionals`` lists the slots of the
+    positionals, and ``defaults`` is the namespace argparse starts from: each
+    action's default, then each :meth:`set_defaults` entry.  The whole
+    parser's ``value_flags`` holds every subcommand's ``options`` strings, and
+    ``commands`` the parser of each subcommand by name."""
 
     def __init__(self, **kwargs) -> None:
-        self.value_flags: set[str] = set()
+        self.options: dict[str, tuple] = {}
+        self.switches: dict[str, tuple] = {}
+        self.positionals: list[tuple] = []
+        self.defaults: dict[str, object] = {}
         super().__init__(**kwargs)
 
     def add_argument(self, *args, **kwargs) -> argparse.Action:
         action = super().add_argument(*args, **kwargs)
-        if action.nargs is None:
-            self.value_flags.update(action.option_strings)
+        slot = (action.dest, action.type, action.choices)
+        if not action.option_strings:
+            self.positionals.append(slot)
+        elif action.nargs is None:
+            self.options.update(dict.fromkeys(action.option_strings, slot))
+        elif kwargs.get("action") == "store_true":
+            self.switches.update(dict.fromkeys(action.option_strings, (slot, action.const)))
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            self.defaults.setdefault(action.dest, action.default)
         return action
+
+    def set_defaults(self, **kwargs) -> None:
+        super().set_defaults(**kwargs)
+        self.defaults.update(kwargs)
+
+    def parse_plain(self, argv: Sequence[str]) -> argparse.Namespace | None:
+        """The namespace :meth:`parse_args` gives for argv of the plainest
+        shape, read from the table in one pass; None for any other argv, which
+        argparse then parses and reports on.  Plain: every token is an option
+        string of this parser that takes a value, joined to it by '=' (as
+        :func:`_join_flag_values` joins them), a bare store_true flag, or a
+        positional; no flag is given twice; there are as many positionals as
+        the parser has; and every type returns a value within the choices."""
+        given, positionals = {}, []
+        for token in argv:
+            flag, eq, text = token.partition("=")
+            # argparse drops a value "--", leaving the flag without one
+            slot = self.options.get(flag) if eq and text != "--" else None
+            if slot is None and token in self.switches:
+                slot, text = self.switches[token]
+            if slot is None:
+                if token[:1] == "-":
+                    return None  # -h, --, an abbreviation, an unknown or valueless flag
+                positionals.append(token)
+            elif slot[0] in given:
+                return None  # argparse keeps the last value of a repeated flag
+            else:
+                given[slot[0]] = slot, text
+        if len(positionals) != len(self.positionals):
+            return None
+        namespace = dict(self.defaults)
+        for (dest, convert, choices), text in [*zip(self.positionals, positionals),
+                                               *given.values()]:
+            if convert is not None:
+                try:
+                    text = convert(text)
+                except Exception:
+                    return None  # argparse calls the type again and reports or raises
+            if choices is not None and text not in choices:
+                return None
+            namespace[dest] = text
+        return argparse.Namespace(**namespace)
 
     def error(self, message: str) -> NoReturn:
         raise UsageError(message)
@@ -304,7 +363,7 @@ def build_parser() -> _Parser:
     sw.add_argument("--json", dest="as_json", action="store_true")
     sw.set_defaults(handler=_handle_sweep)
 
-    parser.value_flags = set().union(*(sp.value_flags for sp in sub.choices.values()))
+    parser.value_flags = set().union(*(sp.options for sp in sub.choices.values()))
     parser.commands = dict(sub.choices)
     return parser
 
@@ -435,9 +494,13 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
     try:
         argv = _join_flag_values(argv, _PARSER.value_flags)
         # argv led by a subcommand's name goes straight to that parser, as _PARSER
-        # would send it; any other argv, and every message about the command, to _PARSER.
+        # would send it, and through argparse only where it is not plain; any
+        # other argv, and every message about the command, to _PARSER.
         command = _PARSER.commands.get(argv[0]) if argv else None
-        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
+        if command:
+            args = command.parse_plain(argv[1:]) or command.parse_args(argv[1:])
+        else:
+            args = _PARSER.parse_args(argv)
         if getattr(args, "float_mode", False):
             vars(args).update({key: _to_float(value) for key, value in vars(args).items()})
         return args.handler(args, stdout, stderr)

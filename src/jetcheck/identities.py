@@ -51,11 +51,12 @@ scalar inputs.  The last fold forms only entry n, the one an identity reads.
 Between its edges the module works on plain values: ``Fraction`` in exact
 mode, ``float`` in float mode.  :func:`_check_sizes` makes list inputs
 tuples; once :func:`_mode_for` has chosen the mode, Scalar inputs become
-plain values, as does a jet coefficient read as one value (:func:`_at`);
-only :func:`_report` builds a report, whose ``params`` is rendered on first
-read; :func:`eval_jet` is given the mode, so no tree is walked twice.  Series
-products and powers, and every sum over coefficient values, come from the
-series core in :mod:`jetcheck.jets`.
+plain values, and a jet coefficient enters a right-hand side as its cleared
+numerator and denominator (:func:`_at`); only :func:`_report` builds a
+report, whose ``params`` is rendered on first read; :func:`eval_jet` is given
+the mode, so no tree is walked twice.  Series products and powers, and every
+sum over coefficient values, come from the series core in
+:mod:`jetcheck.jets`.
 Every weighted right-hand side (n!, multinomial(n, s), or 1 for baran) is
 formed exactly by :func:`_product` and, in float mode, rounded once, so n!
 never has to fit in a float on its own.
@@ -203,13 +204,12 @@ def _plain(scalars: Sequence[Scalar], mode: str) -> list:
     return [float(v) if mode == "float" else v.value for v in scalars]
 
 
-def _at(jet: tuple[Sequence, int], k: int, mode: str):
-    """Taylor coefficient k of a jet read by :meth:`Jet.cleared`, as a plain
-    value; 0 beyond its order, where a slope is only raised to the power 0."""
+def _at(jet: tuple[Sequence, int], k: int, exponent: int = 1) -> tuple:
+    """The :func:`_product` factor of Taylor coefficient k of a jet read by
+    :meth:`Jet.cleared`: (values[k], d, exponent); 0 beyond its order, where a
+    slope is only raised to the power 0."""
     values, d = jet
-    if k >= len(values):
-        return 0
-    return Fraction(values[k], d) if mode == "exact" else values[k]
+    return (values[k], d, exponent) if k < len(values) else (0, 1, exponent)
 
 
 def _text(value) -> str:
@@ -218,19 +218,20 @@ def _text(value) -> str:
 
 
 def _product(weight: int | Fraction, factors: Iterable[tuple], mode: str):
-    """weight * prod(base ** exponent for base, exponent in factors), formed
-    exactly and, in float mode, rounded once: no partial product, such as n!
-    alone, has to fit in a float.  A non-finite float factor (inf or nan)
-    raises OverflowError.  Bases are ints, Fractions or floats and exponents
+    """weight * prod((base / d) ** exponent for base, d, exponent in factors),
+    formed exactly and, in float mode, rounded once: no partial product, such
+    as n! alone, has to fit in a float.  A non-finite float factor (inf or
+    nan) raises OverflowError.  Bases are ints, Fractions or floats, d a
+    positive integer (a cleared jet's denominator, or 1) and exponents
     non-negative; the product runs on integer numerators and denominators,
     reduced once at the end."""
     num, den = weight.numerator, weight.denominator
-    for base, exponent in factors:
+    for base, d, exponent in factors:
         if isinstance(base, float) and not math.isfinite(base):
             raise OverflowError(f"a factor is {base!r}, not a finite number")
         p, q = base.as_integer_ratio()
         num *= p ** exponent
-        den *= q ** exponent
+        den *= (q * d) ** exponent
     total = Fraction(num, den)
     return total if mode == "exact" else float(total)
 
@@ -391,7 +392,7 @@ def _collapse_rhs(n: int, s: MultiIndex, f: Sequence[tuple], slopes: Iterable[tu
     times the slope factors when |s| = n, else 0."""
     if s.weight != n:
         return _product(0, (), mode)
-    return _product(math.factorial(n), [(_at(fi, 0, mode), 1) for fi in f] + list(slopes), mode)
+    return _product(math.factorial(n), [_at(fi, 0) for fi in f] + list(slopes), mode)
 
 
 def theorem1_verify(
@@ -420,7 +421,7 @@ def theorem1_verify(
     tables = [_derivative_table(fi, _powers(cg, n), dg, si, mode)
               for fi, (cg, dg), si in zip(f, g, s)]
     lhs, scale = _convolve(tables, n, mode)
-    rhs = _collapse_rhs(n, s, f, [(_at(gi, 1, mode), si) for gi, si in zip(g, s)], mode)
+    rhs = _collapse_rhs(n, s, f, [_at(gi, 1, si) for gi, si in zip(g, s)], mode)
     return _finish("theorem1", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -449,7 +450,8 @@ def _corollary2_core(
         [_derivative_table(fi, g_powers, g[1], si, mode, ci) for fi, ci, si in zip(f, c, s)], n, mode
     )
     # g_i = c_i g, so g_i'^(s_i) = c_i^(s_i) g'^(s_i).
-    rhs = _collapse_rhs(n, s, f, [*zip(c, s), (_at(g, 1, mode), s.weight)], mode)
+    slopes = [(ci, 1, si) for ci, si in zip(c, s)] + [_at(g, 1, s.weight)]
+    rhs = _collapse_rhs(n, s, f, slopes, mode)
     return _finish(identity, params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -519,7 +521,7 @@ def baran_verify(
         [([(-cg[0]) ** k for k in range(n + 1)], 1, dg),
          ([coefficient(cf, p, n) for p in _powers(cg, n)], df, dg)], n, mode
     )
-    rhs = _product(1, [(_at(f, 0, mode), 1), (_at(g, 1, mode), n)], mode)
+    rhs = _product(1, [_at(f, 0), _at(g, 1, n)], mode)
     return _finish("baran", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -550,7 +552,7 @@ def leibniz_product_verify(
          (_monomial_table(cg, p, q), dg, q)], n, mode
     )
     top = series_mul(series_mul(series_pow(x, n + 1), cf), cg)[n]
-    rhs = _product(Fraction(math.factorial(n), q ** (n + 1) * df * dg), [(top, 1)], mode)
+    rhs = _product(Fraction(math.factorial(n), q ** (n + 1) * df * dg), [(top, 1, 1)], mode)
     return _finish("leibniz_product", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
 
@@ -601,7 +603,7 @@ def _family_check(
             values, den = [v / den for v in values], 1
         tables.append(([ci ** k * v for k, v in enumerate(values)], den, c_den))
     lhs, scale = _convolve(tables, n, mode)
-    value, notes = rhs([(beta, n), *zip(c, s)], mode)
+    value, notes = rhs([(beta, 1, n), *[(ci, 1, si) for ci, si in zip(c, s)]], mode)
     return _finish(identity, params, mode, lhs, value, scale, tol, notes, rhs_shift)
 
 
@@ -698,10 +700,10 @@ def zero_power_lemma_check(
     if note is not None:
         return _report("zero_power_lemma", params, mode, tol, "precondition_violated", (note,))
 
-    *lows, lhs = [_product(Fraction(math.factorial(k), f[1] ** n), [(v, 1)], mode)
+    *lows, lhs = [_product(Fraction(math.factorial(k), f[1] ** n), [(v, 1, 1)], mode)
                   for k, v in enumerate(series_pow(f[0], n))]
     scale = ordered_sum(map(abs, [lhs, *lows]))
-    rhs = _product(math.factorial(n), [(_at(f, 1, mode), n)], mode)
+    rhs = _product(math.factorial(n), [_at(f, 1, n)], mode)
 
     report = _finish("zero_power_lemma", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
     bad = [k for k, low in enumerate(lows) if _verdict_for(low, scale, mode, tol) == "fail"]

@@ -357,10 +357,10 @@ def reference_eval_jet(e: Expr, x0: Scalar, order: int) -> Jet:
 
 def reference_product(weight, factors, mode: str):
     """identities._product one Fraction at a time: weight times each
-    Fraction(base) ** exponent, rounded once in float mode."""
+    (Fraction(base) / d) ** exponent, rounded once in float mode."""
     total = Fraction(weight)
-    for base, exponent in factors:
+    for base, d, exponent in factors:
         if isinstance(base, float) and not math.isfinite(base):
             raise OverflowError(f"a factor is {base!r}, not a finite number")
-        total *= Fraction(base) ** exponent
+        total *= (Fraction(base) / d) ** exponent
     return total if mode == "exact" else float(total)

@@ -695,3 +695,145 @@ def test_fuzzed_argv_ends_in_a_report_or_one_error_line(argv):
     assert "Traceback" not in err and "internal error" not in err
     assert "invalid _" not in err  # argparse naming a private type function
     assert (code == 2) == (err != "")
+
+
+# run() reads argv led by a subcommand through _Parser.parse_plain and hands it
+# to argparse only where the pass returns None.  The pass must return None or
+# the namespace argparse returns.
+
+
+def _dispatched(argv):
+    """The subcommand parser and the joined tokens that run() hands it."""
+    from jetcheck import cli
+
+    tokens = cli._join_flag_values(argv, cli._PARSER.value_flags)
+    return cli._PARSER.commands[tokens[0]], tokens[1:]
+
+
+def _plain_agrees(argv) -> bool:
+    """Assert that parse_plain returns None or parse_args's namespace for argv
+    led by a subcommand; True for a namespace."""
+    command, rest = _dispatched(argv)
+    plain = command.parse_plain(rest)
+    if plain is None:
+        return False
+    assert vars(plain) == vars(command.parse_args(rest))
+    return True
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(_argvs())
+def test_plain_pass_agrees_with_argparse_on_fuzzed_argv(argv):
+    # _argvs() gives each flag once and by its full name, so the pass leaves
+    # to argparse only the argv that argparse rejects
+    from jetcheck import cli
+
+    if not _plain_agrees(argv):
+        command, rest = _dispatched(argv)
+        with pytest.raises(cli.UsageError):
+            command.parse_args(rest)
+
+
+def test_plain_pass_agrees_with_argparse_on_the_corpus():
+    import shlex
+    from pathlib import Path
+
+    from jetcheck import cli
+
+    texts = json.loads((Path(__file__).parent / "output_corpus.json").read_text())
+    argvs = [shlex.split(text) for text in texts]
+    accepted = [_plain_agrees(argv) for argv in argvs if argv and argv[0] in cli._PARSER.commands]
+    assert len(accepted) > 60 and sum(accepted) > 30
+
+
+# The argv shapes of the benchmark's cli_small_exact workload, one per kind:
+# polynomial inputs, a rational first f, and negatives by --perturb-rhs or by
+# a broken hypothesis.
+WORKLOAD_ARGVS = [
+    "verify baran --n 1 --f 2/3*x^2-2*x-3/2 --g 4*x^2+1*x --at -1 --json",
+    "verify theorem1 --n 2 --s 1,0 --f 3/4*x^2+2/3*x-1,1/2*x^2+1/4"
+    " --g 2*x^2+1/3*x+1,4/3*x^2-1*x-11/3 --at 1 --json",
+    "verify corollary2 --n 3 --s 0,0 --c 4,-4 --f 1*x^2+1/2*x,-1/3*x^2-4*x-2"
+    " --g 1/4*x^2-3/2*x-1 --at -3 --json",
+    "verify symmetric_pair --n 1 --p 0 --f1 -4/3*x^2+1/2 --f2 -1*x^2-2*x"
+    " --g 1/2*x^2-1/2*x+1/2 --at -1 --json",
+    "verify leibniz_product --n 4 --f -2/3*x^2+1*x+1 --g -4/3*x^2-3/2*x+2 --at 1/3 --json",
+    "binomid eq4 --n 1 --s 0,1 --alpha 2,2/3 --beta -3 --c 1/3,-1/3 --json",
+    "binomid eq5 --n 2 --s 1 --alpha 1,-1/2 --beta 3/2 --json",
+    "binomid eq6 --n 1 --s 0,1 --alpha -2/3,-1 --beta -1 --c -1/2,1/2 --json",
+    "binomid eq7 --n 3 --s 0 --alpha -1/4,1/4 --beta -2 --json",
+    "lemma --f 2*x^2-4*x --n 1 --at 2 --json",
+    "verify baran --n 2 --f (-1*x^2+3/4*x+1/2)/(-1*x-2/3) --g -3/4*x^2-2*x --at 0 --json",
+    "verify theorem1 --n 1 --s 0,0 --f (3*x^2-2*x+4)/(1*x+3/4),1/2*x^2+3/4*x+2"
+    " --g -1*x^2-1/4,-4/3*x^2-1*x+5 --at -3/2 --json",
+    "verify corollary2 --n 1 --s 0,1 --c -1/4,1/4 --f (-3*x^2-3*x+1/4)/(2*x+2),1/4*x^2+1/4*x"
+    " --g 1*x^2-1/2*x-2/3 --at 1 --json",
+    "verify baran --n 1 --f (4*x^2-2*x+3/2)/(3*x-2) --g 1/4*x^2+2 --at -3/2 --json"
+    " --perturb-rhs 5/3",
+    "verify symmetric_pair --n 1 --p 1 --f1 (-2*x^2+2*x)/(-1*x-1) --f2 1*x^2+1/2*x+3/2"
+    " --g 3/4*x^2+1*x+4/3 --at -2/3 --json --perturb-rhs 1",
+    "verify leibniz_product --n 1 --f (2/3*x^2+2/3*x-1/2)/(-1/4*x-1/3) --g 2*x^2-1*x-3/4"
+    " --at -1 --json --perturb-rhs -5",
+    "binomid eq4 --n 1 --s 0,1 --alpha 1,3 --beta -3 --c -2,3 --json",
+    "binomid eq5 --n 1 --s 0 --alpha 0,1 --beta -1 --json --perturb-rhs 1",
+    "binomid eq7 --n 1 --s 0 --alpha -3/4,-2 --beta -1/2 --json --perturb-rhs 2/3",
+    "lemma --f 1*x^2+1/2*x+1 --n 1 --at 0 --json",
+]
+
+
+@pytest.mark.parametrize("text", WORKLOAD_ARGVS)
+def test_plain_pass_agrees_with_argparse_on_the_workload_shapes(text):
+    # every shape takes the plain pass; the same argv with --n given again
+    # (argparse keeps the last value) must not read another n
+    argv = text.split()
+    assert _plain_agrees(argv)
+    _plain_agrees(argv + ["--n", "5"])
+
+
+_BARAN = ("--n", "2", "--f", "x", "--g", "x^2", "--at", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "baran", *_BARAN, "-h"),
+    ("lemma", "--help"),
+    ("verify", "baran", "--n", "1", *_BARAN),
+    ("verify", "baran", *_BARAN, "--perturb", "1/2"),
+    ("lemma", "--f", "x^2-1", "--n", "2", "--at", "1", "--json=1"),
+    ("verify", "--", "baran", *_BARAN),
+    ("sweep", "--identities", "--"),
+    ("verify", "baran", "stray", *_BARAN),
+    ("verify", *_BARAN),
+    ("verify", "frobnicate", *_BARAN),
+    ("verify", "baran", *_BARAN, "--at"),
+    ("verify", "baran", *_BARAN, "--alpha", "1,2"),
+    ("verify", "baran", "--n", "two", *_BARAN[2:]),
+    ("binomid", "eq6", "--n", "1", "--rhs-form", "printed"),
+])
+def test_plain_pass_leaves_every_other_argv_to_argparse(argv):
+    command, rest = _dispatched(argv)
+    assert command.parse_plain(rest) is None
+
+
+def test_the_parsers_declare_only_what_the_plain_pass_reads():
+    # parse_plain models store, store_true and help actions with nargs None
+    # or 0 and no required options; a str default is converted by argparse
+    # through the type; a mutually exclusive group checks what the pass does
+    # not.  A flag added outside these assumptions fails here.
+    import argparse
+
+    from jetcheck import cli
+
+    for sp in cli.build_parser().commands.values():
+        assert sp._mutually_exclusive_groups == []
+        actions = sp._actions
+        for action in actions:
+            assert isinstance(action, (argparse._StoreAction, argparse._StoreTrueAction,
+                                       argparse._HelpAction))
+            assert action.nargs in (None, 0)
+            assert not (action.option_strings and action.required)
+            assert not (isinstance(action.default, str) and action.type is not None)
+        assert [slot[0] for slot in sp.positionals] == [a.dest for a in actions
+                                                        if not a.option_strings]
+        assert set(sp.options) | set(sp.switches) | {"-h", "--help"} == {
+            flag for a in actions for flag in a.option_strings}
+        assert sp.defaults == {dest: sp.get_default(dest) for dest in sp.defaults}

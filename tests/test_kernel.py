@@ -586,11 +586,13 @@ FLOAT_FACTORS = st.one_of(
 )
 EXACT_FACTORS = st.one_of(st.integers(-7, 7), st.fractions(max_denominator=40))
 WEIGHTS = st.one_of(st.integers(0, 10 ** 30), st.fractions(0, 10 ** 6, max_denominator=10 ** 9))
+# a cleared jet's denominator, or 1 for a plain value
+DENOMINATORS = st.one_of(st.just(1), st.integers(1, 10 ** 6))
 
 
 @settings(deadline=None, max_examples=300)
-@given(WEIGHTS, st.lists(st.tuples(EXACT_FACTORS, st.integers(0, 40)), max_size=4),
-       st.lists(st.tuples(FLOAT_FACTORS, st.integers(0, 40)), max_size=4))
+@given(WEIGHTS, st.lists(st.tuples(EXACT_FACTORS, DENOMINATORS, st.integers(0, 40)), max_size=4),
+       st.lists(st.tuples(FLOAT_FACTORS, DENOMINATORS, st.integers(0, 40)), max_size=4))
 def test_product_matches_the_fraction_route(weight, exact, floats):
     assert identities._product(weight, exact, "exact") == reference_product(weight, exact, "exact")
 
@@ -605,7 +607,7 @@ def test_product_matches_the_fraction_route(weight, exact, floats):
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_product_names_a_non_finite_factor(bad):
-    factors = [(2.0, 3), (bad, 1)]
+    factors = [(2.0, 1, 3), (bad, 1, 1)]
     with pytest.raises(OverflowError) as want:
         reference_product(6, factors, "float")
     with pytest.raises(OverflowError) as got:
