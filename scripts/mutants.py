@@ -47,7 +47,8 @@ MUTANTS = {
         "tests/test_expr_nodes.py::test_the_flag_equals_the_walk_on_every_subtree"),
     # the log recurrence divided once by k * a_0
     "log_recurrence": (
-        JETS, "b.append(acc / k / a[0])", "b.append(acc / (k * a[0]))",
+        JETS, "acc = acc - b[j] * a[k - j] * j\n            b.append(acc / k / a[0])",
+        "acc = acc - b[j] * a[k - j] * j\n            b.append(acc / (k * a[0]))",
         "tests/test_jets.py::test_elementary_recurrences_keep_their_bits"),
     # the kernel lifts entry k of a table by (E/e_i)^(n-k)
     "kernel_lift_exponent": (
@@ -59,12 +60,22 @@ MUTANTS = {
         "tests/test_kernel.py::test_entry_n_kernel_equals_the_composition_reference"),
     # Pascal rows rounded through floats, which are exact only up to row 56
     "kernel_float_binomials": (
-        IDENTITIES, "rows = [[math.comb(m, j) for j", "rows = [[int(float(math.comb(m, j))) for j",
+        IDENTITIES, "rows = {m: [math.comb(m, j) for j",
+        "rows = {m: [int(float(math.comb(m, j))) for j",
         "tests/test_kernel.py::test_the_widest_tables_fold_to_the_closed_form"),
     # float series_pow without the product by the unit
     "float_power_unit": (
         JETS, "if unit.__class__ is float or not m else None", "if not m else None",
         "tests/test_jets.py::test_float_powers_keep_the_product_by_the_unit"),
+    # a float product by a constant that keeps a -0.0 the sum turns into 0.0
+    "float_scaling_keeps_minus_zero": (
+        JETS, "return [c[0] * v + 0.0 for v in other]", "return [c[0] * v for v in other]",
+        "tests/test_jets.py::test_float_products_by_a_constant_keep_the_full_loop_bits"),
+    # exp of a linear argument that keeps the one-term values past an inf,
+    # where the skipped zero terms of the full loop give nan
+    "float_linear_exp_without_fallback": (
+        JETS, "if not all(map(math.isfinite, b)):\n", "if False:\n",
+        "tests/test_jets.py::test_recurrences_of_linear_arguments_keep_the_full_loop_bits"),
     # a subcommand found by prefix, so that "ver" runs verify's parser
     "dispatch_by_prefix": (
         CLI, "_PARSER.commands.get(argv[0])",

@@ -65,6 +65,18 @@ class _Help(Exception):
     """--help was given; carries the help text for :func:`run` to write."""
 
 
+class _Store(argparse._StoreAction):
+    """argparse's store action, reading a flag value "--" as Python 3.13 does:
+    earlier versions drop it and hand the action [], so here argparse's own
+    type call and choices check run on "--" at the same point of argv."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        if values == [] and self.option_strings:
+            values = parser._get_value(self, "--")
+            parser._check_value(self, values)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a usage error by raising UsageError,
     so :func:`run` writes it as one line to its own ``stderr``, and its help
@@ -86,6 +98,7 @@ class _Parser(argparse.ArgumentParser):
         self.positionals: list[tuple] = []
         self.defaults: dict[str, object] = {}
         super().__init__(**kwargs)
+        self.register("action", None, _Store)
 
     def add_argument(self, *args, **kwargs) -> argparse.Action:
         action = super().add_argument(*args, **kwargs)
@@ -115,7 +128,7 @@ class _Parser(argparse.ArgumentParser):
         given, positionals = {}, []
         for token in argv:
             flag, eq, text = token.partition("=")
-            # argparse drops a value "--", leaving the flag without one
+            # argparse before 3.13 drops a value "--" (see _Store)
             slot = self.options.get(flag) if eq and text != "--" else None
             if slot is None and token in self.switches:
                 slot, text = self.switches[token]

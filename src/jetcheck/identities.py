@@ -341,7 +341,9 @@ def _convolve(tables: Sequence[tuple[Sequence, int, int]], n: int, mode: str) ->
     with E = lcm(e_i), puts every product over prod(d_i) E^n, so exact mode
     divides once for each; float tables have d = e = 1.
     """
-    rows = [[math.comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
+    # the last fold reads row n alone, every other fold rows 0 to n
+    rows = {m: [math.comb(m, j) for j in range(m + 1)]
+            for m in (range(n + 1) if len(tables) > 2 else (n,))}
     common = math.lcm(*[e for _, _, e in tables])
     den = common ** n * math.prod(d for _, d, _ in tables)
     lhs, *rest = [values if e == common else [v * (common // e) ** k for k, v in enumerate(values)]
@@ -365,11 +367,14 @@ def _binomial_convolution(a: Sequence, b: Sequence, rows: list, entries: Iterabl
 
 def _powers(g: Sequence, n: int) -> list[Sequence]:
     """g^0 .. g^n, each truncated to the order of g; an exact g^1 is g itself, a
-    float one the product by the unit, which can move bits (see series_pow).
-    Each product is :func:`series_mul` by g, on g's reversed prefixes built once."""
+    float one the product by the unit, which can move bits (see series_pow):
+    g + 0.0 where g is finite.  Each other product is :func:`series_mul` by g,
+    on g's reversed prefixes built once."""
     powers = [[1] + [0] * (len(g) - 1)]
     if n and g[0].__class__ is not float:
         powers.append(g)
+    elif n and all(map(math.isfinite, g)):
+        powers.append([v + 0.0 for v in g])
     prefixes = [g[m::-1] for m in range(len(g))]
     while len(powers) <= n:
         last = powers[-1]

@@ -40,6 +40,14 @@ summation order (:func:`ordered_sum`), so float digits do not depend on the
 Python version.  Exact mode forms no product by a known one (a power starts
 from its base); float mode keeps those products, which can turn -0.0 into 0.0
 or inf into nan.
+
+Float mode skips the terms it knows are zero, bit for bit.  A sum starts
+from the integer 0, so no partial sum is -0.0 and a +-0.0 term changes
+nothing, and a finite value times +-0.0 is +-0.0.  So a product with a
+zero-tailed factor is the scaling ``c * v + 0.0`` (which turns -0.0 into 0.0
+as the sum does), and exp, sin/cos, log and real powers of a linear argument
+take one term per coefficient.  A value that is not finite (0 * inf is nan),
+or a log term that would be 0, falls back to the full loop.
 """
 
 from __future__ import annotations
@@ -69,7 +77,12 @@ def coefficient(a: Sequence, b: Sequence, m: int):
 
 def series_mul(a: Sequence, b: Sequence) -> list:
     """The Cauchy product of two coefficient lists, truncated to the length of a;
-    each entry is :func:`coefficient`'s sum, inlined."""
+    each entry is :func:`coefficient`'s sum, inlined.  Float lists of one length
+    where one has a zero tail and the other is finite give the scaling instead."""
+    if a[0].__class__ is b[0].__class__ is float and len(a) == len(b):
+        for c, other in ((a, b), (b, a)):
+            if not any(c[1:]) and all(map(math.isfinite, other)):
+                return [c[0] * v + 0.0 for v in other]
     return [reduce(operator.add, map(operator.mul, a, b[m::-1]), 0) for m in range(len(a))]
 
 
@@ -352,7 +365,12 @@ class Jet:
             b = [math.exp(a[0])]
         except OverflowError:
             raise DomainError("exp overflow at the expansion point") from None
-        for k in range(1, len(a)):
+        if not any(a[2:]):  # a linear argument: one term per coefficient
+            for k in range(1, len(a)):
+                b.append((a[1] * b[k - 1] + 0.0) / k)
+            if not all(map(math.isfinite, b)):
+                del b[1:]
+        for k in range(len(b), len(a)):
             b.append(ordered_sum(a[j] * b[k - j] * j for j in range(1, k + 1)) / k)
         return Jet._of(b, None)
 
@@ -362,7 +380,16 @@ class Jet:
         if not a[0] > 0:
             raise DomainError("log requires a positive value at the expansion point")
         b = [math.log(a[0])]
-        for k in range(1, len(a)):
+        if not any(a[2:]):
+            # a linear argument: acc is the one term j = k - 1, where it is not 0
+            for k in range(1, len(a)):
+                acc = a[1] if k == 1 else -(b[k - 1] * a[1] * (k - 1))
+                if not acc:
+                    break
+                b.append(acc / k / a[0])
+            if not all(map(math.isfinite, b)) or len(b) < len(a):
+                del b[1:]
+        for k in range(len(b), len(a)):
             acc = a[k] * k
             for j in range(1, k):
                 acc = acc - b[j] * a[k - j] * j
@@ -381,7 +408,13 @@ class Jet:
         if not math.isfinite(a[0]):
             raise DomainError("sin/cos requires a finite value at the expansion point")
         s, c = [math.sin(a[0])], [math.cos(a[0])]
-        for k in range(1, len(a)):
+        if not any(a[2:]):  # a linear argument: one term per coefficient
+            for k in range(1, len(a)):
+                s.append((a[1] * c[k - 1] + 0.0) / k)
+                c.append(-((a[1] * s[k - 1] + 0.0) / k))
+            if not all(map(math.isfinite, s + c)):
+                del s[1:], c[1:]
+        for k in range(len(s), len(a)):
             s.append(ordered_sum(a[j] * c[k - j] * j for j in range(1, k + 1)) / k)
             c.append(-(ordered_sum(a[j] * s[k - j] * j for j in range(1, k + 1)) / k))
         return Jet._of(s, None), Jet._of(c, None)
@@ -420,7 +453,13 @@ class Jet:
         # u has zero constant coefficient, so p below is the series of (1+u)**alpha.
         u = [0.0] + [ai / a[0] for ai in a[1:]]
         p = [1.0]
-        for n in range(1, len(a)):
+        # a linear argument, whose skipped factors (al + 1) k - n are finite: one term each
+        if not any(a[2:]) and math.isfinite((al + 1.0) * (len(a) - 1)):
+            for n in range(1, len(a)):
+                p.append((u[1] * p[n - 1] * ((al + 1.0) * 1 - n) + 0.0) / n)
+            if not all(map(math.isfinite, p)):
+                del p[1:]
+        for n in range(len(p), len(a)):
             terms = (u[k] * p[n - k] * ((al + 1.0) * k - n) for k in range(1, n + 1))
             p.append(ordered_sum(terms) / n)
         lead = math.pow(a[0], al)

@@ -14,6 +14,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 from jetcheck import Jet, Scalar, TheoremInstance, eval_jet, nth_derivative
 from jetcheck.exprs import (
@@ -364,3 +365,87 @@ def reference_product(weight, factors, mode: str):
             raise OverflowError(f"a factor is {base!r}, not a finite number")
         total *= (Fraction(base) / d) ** exponent
     return total if mode == "exact" else float(total)
+
+
+# Full-loop references for float coefficient lists: the series products, the
+# powers and the elementary recurrences with every term summed, none skipped,
+# in the library's order.  The library's float paths must equal them bit for bit.
+
+
+def _summed(terms):
+    return reduce(operator.add, terms, 0)
+
+
+def reference_series_mul(a, b) -> list:
+    return [_summed(map(operator.mul, a, b[m::-1])) for m in range(len(a))]
+
+
+def reference_series_pow(a, m: int) -> list:
+    """a**m by square-and-multiply from the float unit, multiplying by it first."""
+    result = [1.0] + [0.0] * (len(a) - 1)
+    while m > 0:
+        if m & 1:
+            result = reference_series_mul(result, a)
+        m >>= 1
+        if m:
+            a = reference_series_mul(a, a)
+    return result
+
+
+def reference_powers(g, n: int) -> list:
+    """g^0 .. g^n, each power the product of the last by g, from the integer unit."""
+    powers = [[1] + [0] * (len(g) - 1)]
+    while len(powers) <= n:
+        powers.append(reference_series_mul(powers[-1], g))
+    return powers
+
+
+def reference_exp(a) -> list:
+    b = [math.exp(a[0])]
+    for k in range(1, len(a)):
+        b.append(_summed(a[j] * b[k - j] * j for j in range(1, k + 1)) / k)
+    return b
+
+
+def reference_sin_cos(a) -> tuple[list, list]:
+    s, c = [math.sin(a[0])], [math.cos(a[0])]
+    for k in range(1, len(a)):
+        s.append(_summed(a[j] * c[k - j] * j for j in range(1, k + 1)) / k)
+        c.append(-(_summed(a[j] * s[k - j] * j for j in range(1, k + 1)) / k))
+    return s, c
+
+
+def reference_log(a) -> list:
+    b = [math.log(a[0])]
+    for k in range(1, len(a)):
+        acc = a[k] * k
+        for j in range(1, k):
+            acc = acc - b[j] * a[k - j] * j
+        b.append(acc / k / a[0])
+    return b
+
+
+def reference_sqrt(a) -> list:
+    b = [math.sqrt(a[0])]
+    for k in range(1, len(a)):
+        acc = a[k]
+        for j in range(1, k):
+            acc = acc - b[j] * b[k - j]
+        b.append(acc / b[0] / 2)
+    return b
+
+
+def reference_pow_real(a, al: float) -> list:
+    """a**al for a non-integer al and a[0] > 0, by the (1 + u)**al recurrence."""
+    u = [0.0] + [ai / a[0] for ai in a[1:]]
+    p = [1.0]
+    for n in range(1, len(a)):
+        p.append(_summed(u[k] * p[n - k] * ((al + 1.0) * k - n) for k in range(1, n + 1)) / n)
+    lead = math.pow(a[0], al)
+    return [lead * pk for pk in p]
+
+
+def float_bits(values) -> list[str]:
+    """float.hex() of each float and repr() of anything else: two lists are
+    equal bit for bit (up to the payload of a nan) when these are equal."""
+    return [v.hex() if v.__class__ is float else repr(v) for v in values]

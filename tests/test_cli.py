@@ -656,6 +656,10 @@ _FLAG_VALUES = {
     "--seed": st.integers(0, 99).map(str), "--trials": st.integers(0, 3).map(str),
     "--max-n": _small, "--max-r": st.integers(1, 3).map(str),
 }
+# Each flag also takes "--", in about one draw of 20: Python before 3.13
+# dropped that value and left the flag an empty list (cli._Store).
+_FLAG_VALUES = {flag: st.integers(0, 19).flatmap(lambda i, v=values: st.just("--") if i == 7 else v)
+                for flag, values in _FLAG_VALUES.items()}
 _COMMON = ("--float", "--json", "--tol", "--perturb-rhs")
 _COMMANDS = {
     ("verify", "baran"): ("--n", "--f", "--g", "--at") + _COMMON,

@@ -1,12 +1,24 @@
 import hashlib
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    float_bits,
+    reference_exp,
+    reference_log,
+    reference_pow_real,
+    reference_powers,
+    reference_series_mul,
+    reference_series_pow,
+    reference_sin_cos,
+    reference_sqrt,
+)
 from jetcheck.identities import _powers
 from jetcheck.jets import Jet, coefficient, ordered_sum, series_mul, series_pow
 from jetcheck.numeric import DomainError, ModeError, Scalar, generalized_binomial
@@ -315,6 +327,133 @@ def division_grid() -> tuple[str, int]:
 
 def test_division_and_number_operands_keep_their_bits():
     assert division_grid() == (DIVISION_DIGEST, 432)
+
+
+# Float products and recurrences skip the terms that a constant factor or a
+# linear argument makes zero.  A derandomized fuzz compares them with the full
+# loops of tests/helpers.py by float.hex(), on lists with tails of +0.0 and
+# -0.0 whose heads, slopes and constants include -0.0, inf, nan, 1e308,
+# 1e-300 and 5e-324.
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-300, -1e-300,
+                  5e-324, -5e-324, 1.0, -1.0, 0.5, 3.0, -2.5, 0.1, 709.0)
+# Non-integer exponents (an integer one is the integer power), among them one
+# whose factor (al + 1) k - n overflows for k >= 2 and one that makes it 0.
+FUZZ_EXPONENTS = (Scalar.inexact(0.5), Scalar.inexact(-0.5), Scalar.inexact(1 / 3),
+                  Scalar.inexact(-1.75), Scalar.inexact(1e-17), Scalar.inexact(2.0 ** 51 + 0.5),
+                  Scalar.inexact(math.inf), Scalar.inexact(math.nan),
+                  Scalar.exact(5 * 10 ** 308 + 2, 3))
+SHAPES = ("constant", "linear", "full")
+
+
+def _fuzz_float(rng: random.Random) -> float:
+    if rng.random() < 0.4:
+        return rng.choice(SPECIAL_FLOATS)
+    return rng.uniform(-4.0, 4.0) * 10.0 ** rng.randint(-6, 6)
+
+
+def _fuzz_list(rng: random.Random, order: int, shape: str) -> list:
+    """A float list of length order + 1: [c, 0, ...], [a0, a1, 0, ...] (each
+    zero +0.0 or -0.0) or any values, a third of them zeros."""
+    zeros = [rng.choice((0.0, -0.0)) for _ in range(order + 1)]
+    if shape == "constant":
+        return [_fuzz_float(rng)] + zeros[1:]
+    if shape == "linear":
+        return ([_fuzz_float(rng), _fuzz_float(rng)] + zeros[2:])[: order + 1]
+    return [z if rng.random() < 0.3 else _fuzz_float(rng) for z in zeros]
+
+
+def test_float_products_by_a_constant_keep_the_full_loop_bits():
+    # the two cases the scaling guards against: a -0.0 that the sum turns
+    # into 0.0, and a zero term times inf that the sum makes nan
+    cases = [([2.0, -0.0, 0.0], [-0.0, 1.0, -0.0]), ([-0.0, 0.0], [-3.0, 0.0]),
+             ([2.0, 0.0, -0.0], [math.inf, 1.0, 1.0]), ([1.0, 2.0], [3.0, -0.0])]
+    rng = random.Random(26)
+    for _ in range(4000):
+        order = rng.randint(0, 12)
+        cases.append((_fuzz_list(rng, order, rng.choice(SHAPES)),
+                      _fuzz_list(rng, order, rng.choice(SHAPES))))
+    for a, b in cases:
+        assert float_bits(series_mul(a, b)) == float_bits(reference_series_mul(a, b)), (a, b)
+        assert float_bits(series_mul(tuple(b), tuple(a))) == float_bits(
+            reference_series_mul(b, a)), (b, a)
+        m = len(a) % 6
+        assert float_bits(series_pow(a, m)) == float_bits(reference_series_pow(a, m)), (a, m)
+        assert [float_bits(p) for p in _powers(a, m)] == [
+            float_bits(p) for p in reference_powers(a, m)], (a, m)
+
+
+def _agrees(method, reference, a: list, *args) -> bool:
+    """Whether a jet method on a equals its full-loop reference bit for bit, or
+    both raise the same error; True when the method's domain check refuses a."""
+    try:
+        got = float_bits(method(Jet._of(a, None), *args).cleared()[0])
+    except DomainError:
+        return True
+    except OverflowError:
+        got = "OverflowError"
+    try:
+        want = float_bits(reference(a, *[float(arg) for arg in args]))
+    except OverflowError:
+        want = "OverflowError"
+    return got == want
+
+
+def test_recurrences_of_linear_arguments_keep_the_full_loop_bits():
+    cases = [[0.5, -0.0, 0.0, -0.0], [2.0, 3.0, -0.0, 0.0, -0.0], [700.0, 5.0, 0.0, 0.0, 0.0],
+             [1.0, math.inf, 0.0, 0.0], [1.5, 1e-300, -0.0, 0.0], [3.0, 5e-324, 0.0, -0.0],
+             [1.0, 1e-300, 0.0, -0.0, 0.0]]
+    rng = random.Random(2016)
+    for _ in range(3000):
+        cases.append(_fuzz_list(rng, rng.randint(0, 16), rng.choice(("constant", "linear") * 3 + ("full",))))
+    for a in cases:
+        assert _agrees(Jet.exp, reference_exp, a), a
+        assert _agrees(Jet.sin, lambda a: reference_sin_cos(a)[0], a), a
+        assert _agrees(Jet.cos, lambda a: reference_sin_cos(a)[1], a), a
+        assert _agrees(Jet.log, reference_log, a), a
+        assert _agrees(Jet.sqrt, reference_sqrt, a), a
+        for alpha in FUZZ_EXPONENTS:
+            assert _agrees(Jet.pow_real, reference_pow_real, a, alpha), (a, alpha)
+
+
+# Bits of the float jets whose zero terms are skipped: constant and linear
+# jets with tails of both zero signs at orders 0 to 20, their products by
+# constants, their powers (by the jet and by _powers) and every elementary
+# recurrence.  The digest was recorded before any term was skipped.
+LINEAR_HEADS = (0.3, 2.5, -7.0, -0.0, 1e-300)
+LINEAR_SLOPES = (1.0, -0.5, 3.0, -0.0, 1e-300)
+LINEAR_ORDERS = (0, 1, 2, 5, 12, 20)
+LINEAR_DIGEST = "b385ab1659e1b480785ca116ed886c41df823c81aa00c5ab60dcd03bdeb22549"
+
+
+def linear_grid() -> tuple[str, int]:
+    """SHA-256 over the float.hex() of every coefficient the grid computes, a
+    line "DomainError" for each refused input; and the number of results."""
+    digest, outputs = hashlib.sha256(), 0
+    calls = [(Jet.exp,), (Jet.log,), (Jet.sin,), (Jet.cos,), (Jet.sqrt,),
+             *[(Jet.pow_real, alpha) for alpha in GRID_EXPONENTS]]
+    for order in LINEAR_ORDERS:
+        tail = [(0.0, -0.0)[k % 2] for k in range(order)]
+        constants = [Jet._of([c, *tail], None) for c in LINEAR_HEADS]
+        lines = [Jet._of([a0, a1, *tail][: order + 1], None)
+                 for a0 in LINEAR_HEADS for a1 in LINEAR_SLOPES]
+        for j in constants + lines:
+            results = [c * j for c in constants] + [j * constants[1], j ** 3]
+            results += [Jet._of(p, None) for p in _powers(j.cleared()[0], 3)[1:]]
+            for fn, *args in calls:
+                try:
+                    results.append(fn(j, *args))
+                except DomainError:
+                    results.append(None)
+            for result in results:
+                text = "DomainError" if result is None else ",".join(
+                    map(float.hex, result.cleared()[0]))
+                digest.update((text + "\n").encode())
+            outputs += len(results)
+    return digest.hexdigest(), outputs
+
+
+def test_constant_and_linear_jets_keep_their_bits():
+    assert linear_grid() == (LINEAR_DIGEST, 3240)
 
 
 def test_pow_real_matches_generalized_binomial():

@@ -7,8 +7,8 @@ verify/binomid/lemma kind in text and JSON, exact and ``--float``, every
 elementary recurrence and non-integer real powers at n >= 10, exact
 constants that scale, shift and divide jets and zero constants as divisors,
 exact lhs and scales over tables of different denominators, a large float
-instance, the README soak sweep and a ``--negative`` sweep, so a refactor
-that changes a single output byte fails here.
+instance, a flag value ``--``, the README soak sweep and a ``--negative``
+sweep, so a refactor that changes a single output byte fails here.
 
 The module needs no pytest: ``python tests/test_output_corpus.py`` prints the
 table for the running interpreter, which compares Python versions with a
@@ -134,6 +134,11 @@ OTHERS = [
     ["verify", "baran", "--n", "1", "--f", "x^((1/10+2/10)*3.0)", "--g", "x", "--at", "2"],
     ["verify", "baran", "--n", "1", "--f", "x^((1/10+2/10)*3.0)", "--g", "x", "--at", "2",
      "--json"],
+    # a flag value "--", which Python before 3.13 dropped: a type's message, a
+    # value that the handler rejects, and an int flag
+    ["verify", "baran", "--n", "2", "--f", "x", "--g", "x", "--at", "--"],
+    ["sweep", "--identities", "--"],
+    ["verify", "baran", "--n", "--", "--f", "x", "--g", "x", "--at", "1", "--json"],
     # exact cancellation scales of theorem1 and corollary2 over tables of
     # different denominators, which only the kernel puts over one; baran and
     # corollary2 with powers x^0 to x^5 and a coefficient c = 1
