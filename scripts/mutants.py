@@ -76,6 +76,11 @@ MUTANTS = {
     "float_linear_exp_without_fallback": (
         JETS, "if not all(map(math.isfinite, b)):\n", "if False:\n",
         "tests/test_jets.py::test_recurrences_of_linear_arguments_keep_the_full_loop_bits"),
+    # a node's children taken from its first field only: a function node then
+    # has none, and a binary node only its left operand
+    "height_first_field": (
+        EXPRS, "for c in node.__getstate__() if", "for c in node.__getstate__()[:1] if",
+        "tests/test_expr_nodes.py::test_heights_equal_the_recursive_height"),
     # a subcommand found by prefix, so that "ver" runs verify's parser
     "dispatch_by_prefix": (
         CLI, "_PARSER.commands.get(argv[0])",

@@ -506,14 +506,11 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
     stderr = stderr if stderr is not None else sys.stderr
     try:
         argv = _join_flag_values(argv, _PARSER.value_flags)
-        # argv led by a subcommand's name goes straight to that parser, as _PARSER
-        # would send it, and through argparse only where it is not plain; any
-        # other argv, and every message about the command, to _PARSER.
+        # argv led by a subcommand's name is read by that parser's plain pass;
+        # any argv it declines goes to the whole parser, which also writes
+        # every help text and usage error.
         command = _PARSER.commands.get(argv[0]) if argv else None
-        if command:
-            args = command.parse_plain(argv[1:]) or command.parse_args(argv[1:])
-        else:
-            args = _PARSER.parse_args(argv)
+        args = command and command.parse_plain(argv[1:]) or _PARSER.parse_args(argv)
         if getattr(args, "float_mode", False):
             vars(args).update({key: _to_float(value) for key, value in vars(args).items()})
         return args.handler(args, stdout, stderr)

@@ -439,7 +439,8 @@ def eval_jet(e: Expr, x0: Scalar, order: int, *, mode: str | None = None) -> Jet
     jet operations.  Mode selection matches :func:`eval_scalar`, unless the
     caller passes the ``mode`` it has already chosen for the tree and x0
     ("exact" only for an exact x0 and a tree without float literals), which
-    saves walking the tree for them.
+    saves a second :func:`_mode_for` call; no tree is walked either way, since
+    each node records its float-ness when it is built.
 
     In exact mode a subtree without x stays a Fraction, which scales or
     shifts a jet through the jet's operators; it becomes a constant jet only
@@ -535,14 +536,7 @@ def _height(e: Expr, heights: dict[int, int]) -> int:
     stack = [e]
     while stack:
         node = stack[-1]
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            children: tuple[Expr, ...] = (node.left, node.right)
-        elif isinstance(node, (Neg, Apply)):
-            children = (node.arg,)
-        elif isinstance(node, (PowInt, PowReal)):
-            children = (node.base,)
-        else:
-            children = ()
+        children = [c for c in node.__getstate__() if isinstance(c, Expr)]
         pending = [c for c in children if id(c) not in heights]
         if pending:
             stack.extend(pending)

@@ -366,15 +366,10 @@ def _binomial_convolution(a: Sequence, b: Sequence, rows: list, entries: Iterabl
 
 
 def _powers(g: Sequence, n: int) -> list[Sequence]:
-    """g^0 .. g^n, each truncated to the order of g; an exact g^1 is g itself, a
-    float one the product by the unit, which can move bits (see series_pow):
-    g + 0.0 where g is finite.  Each other product is :func:`series_mul` by g,
-    on g's reversed prefixes built once."""
-    powers = [[1] + [0] * (len(g) - 1)]
-    if n and g[0].__class__ is not float:
-        powers.append(g)
-    elif n and all(map(math.isfinite, g)):
-        powers.append([v + 0.0 for v in g])
+    """g^0 .. g^n, each truncated to the order of g; g^1 is :func:`series_pow`'s.
+    Each other product is :func:`series_mul` by g, on g's reversed prefixes
+    built once."""
+    powers = [[1] + [0] * (len(g) - 1), series_pow(g, 1)][:n + 1]
     prefixes = [g[m::-1] for m in range(len(g))]
     while len(powers) <= n:
         last = powers[-1]
@@ -556,7 +551,7 @@ def leibniz_product_verify(
         [([p * v for v in _monomial_table(cf, p, q)], q * df, q),
          (_monomial_table(cg, p, q), dg, q)], n, mode
     )
-    top = series_mul(series_mul(series_pow(x, n + 1), cf), cg)[n]
+    top = coefficient(series_mul(series_pow(x, n + 1), cf), cg, n)
     rhs = _product(Fraction(math.factorial(n), q ** (n + 1) * df * dg), [(top, 1, 1)], mode)
     return _finish("leibniz_product", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 

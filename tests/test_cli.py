@@ -176,11 +176,13 @@ def test_help_exits_0():
     ("verify", "baran", "stray", "--n", "2", "--f", "x", "--g", "x^2", "--at", "3"),
     ("--json", "lemma", "--f", "x^2-1", "--n", "2", "--at", "1"),
     ("sweep", "--trials", "two"),
+    # plain under a prefix of a command: no plain pass may read it
+    ("ver", "baran", "--n", "2", "--f", "x", "--g", "x^2", "--at", "3"),
 ])
 def test_dispatch_writes_what_the_whole_parser_writes(argv):
-    # run() hands argv led by a subcommand straight to that subcommand's
-    # parser; its help and its errors are those of the whole parser on the
-    # running interpreter, byte for byte
+    # run() reads argv led by a subcommand's name with that subcommand's plain
+    # pass and hands all other argv to the whole parser; its help and its
+    # errors are the whole parser's on the running interpreter, byte for byte
     from jetcheck import cli
 
     parser = cli.build_parser()

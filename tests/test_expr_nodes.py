@@ -30,6 +30,7 @@ from jetcheck.exprs import (
     Sub,
     Var,
     X,
+    _height,
     constant_value,
     contains_float,
     diff,
@@ -92,6 +93,35 @@ def test_the_flag_equals_the_walk_on_every_subtree():
             assert contains_float(node) is node.has_float
             floats += node.has_float
     assert floats > 1000  # both answers are common
+
+
+def reference_height(e: Expr) -> int:
+    """Levels from ``e`` down to its deepest leaf, by recursion on the node classes."""
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        children = (e.left, e.right)
+    elif isinstance(e, (Neg, Apply)):
+        children = (e.arg,)
+    elif isinstance(e, (PowInt, PowReal)):
+        children = (e.base,)
+    else:
+        children = ()
+    return 1 + max(map(reference_height, children), default=0)
+
+
+def test_heights_equal_the_recursive_height():
+    # every node class, and trees that are not left-deep; a tree and its
+    # derivative share one memo, as in nth_derivative, since they share subtrees
+    classes = set()
+    for tree in CORPUS:
+        try:
+            derivative = diff(tree)
+        except OverflowError:  # a constant power folded beyond the float range
+            derivative = tree
+        heights: dict[int, int] = {}
+        for e in (tree, derivative):
+            assert _height(e, heights) == reference_height(e), e
+            classes.update(node.__class__ for node in subtrees(e))
+    assert classes == {Add, Sub, Mul, Div, Neg, Apply, PowInt, PowReal, Const, Var}
 
 
 def test_the_hand_built_float_nodes_are_float():

@@ -127,7 +127,7 @@ def test_float_powers_keep_the_product_by_the_unit():
 def test_exact_powers_start_from_g():
     g = (Fraction(1, 2), 3, 0, -1)
     powers = _powers(g, 5)
-    assert powers[1] == g and len(powers) == 6
+    assert list(powers[1]) == list(g) and len(powers) == 6
     for low, high in zip(powers, powers[1:]):
         assert list(high) == series_mul(low, g)
     assert _powers(g, 0) == [[1, 0, 0, 0]]

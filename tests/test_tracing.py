@@ -41,5 +41,6 @@ def test_tracer_installs_and_uninstalls():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    # x*x and 2*x are one jet product each, the second through Jet.__rmul__
+    # x*x and 2*x are one jet product each, the second through Jet.__mul__
+    # with a Fraction operand (exact mode keeps the constant 2 a number)
     assert proc.stdout == "True 2 1\n"
