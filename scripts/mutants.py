@@ -96,6 +96,14 @@ MUTANTS = {
         PARSING, "exponent = self.factor()[0]\n",
         "exponent = self.factor()[0]\n        first = self.pos\n",
         "tests/test_parser_differential.py::test_random_strings_parse_as_the_reference"),
+    # the height bound checked one level late, so a tree MAX_HEIGHT + 1 high parses
+    "parse_height_bound": (
+        PARSING, "if height == MAX_HEIGHT:", "if height > MAX_HEIGHT:",
+        "tests/test_parsing.py::test_a_power_of_a_long_chain_is_a_parse_error"),
+    # a value flag joined to the token after it past a standalone "--"
+    "join_past_separator": (
+        CLI, '        elif tok == "--":\n            return out + list(argv[i:])\n', "",
+        "tests/test_output_corpus.py::test_corpus_output_is_unchanged"),
 }
 
 

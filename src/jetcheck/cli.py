@@ -486,11 +486,14 @@ def _handle_sweep(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> i
 
 def _join_flag_values(argv: Sequence[str], value_flags: set[str]) -> list[str]:
     """Join each value flag with its value by '=', so argparse takes values
-    that start with '-' (negative numbers, expressions like "-x^2")."""
+    that start with '-' (negative numbers, expressions like "-x^2").  The
+    tokens after a standalone '--' that is not a flag's value stay as given."""
     out: list[str] = []
-    for tok in argv:
+    for i, tok in enumerate(argv):
         if out and out[-1] in value_flags:
             out[-1] += "=" + tok
+        elif tok == "--":
+            return out + list(argv[i:])
         else:
             out.append(tok)
     return out

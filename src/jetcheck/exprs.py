@@ -268,16 +268,9 @@ def _diff(e: Expr, memo: dict[int, Expr]) -> Expr:
         out = add(_diff(e.left, memo), _diff(e.right, memo))
     elif isinstance(e, Sub):
         out = sub(_diff(e.left, memo), _diff(e.right, memo))
-    elif isinstance(e, Mul):
-        out = add(
-            mul(_diff(e.left, memo), e.right),
-            mul(e.left, _diff(e.right, memo)),
-        )
-    elif isinstance(e, Div):
-        out = div(
-            sub(mul(_diff(e.left, memo), e.right), mul(e.left, _diff(e.right, memo))),
-            pow_int(e.right, 2),
-        )
+    elif isinstance(e, (Mul, Div)):
+        terms = mul(_diff(e.left, memo), e.right), mul(e.left, _diff(e.right, memo))
+        out = add(*terms) if isinstance(e, Mul) else div(sub(*terms), pow_int(e.right, 2))
     elif isinstance(e, PowInt):
         if e.exponent == 0:
             out = const(0)

@@ -101,6 +101,7 @@ from .numeric import (
 
 DEFAULT_TOL = 1e-9
 HYPOTHESIS_TOL = 1e-12
+VERDICTS = ("pass", "fail", "precondition_violated")
 
 IDENTITIES = (
     "theorem1",
@@ -153,7 +154,7 @@ class VerificationReport:
     residual: Scalar | None
     cancellation_scale: Scalar | None
     tolerance: float | None
-    verdict: str  # "pass" | "fail" | "precondition_violated"
+    verdict: str  # one of VERDICTS
     notes: tuple[str, ...] = ()
 
 
@@ -268,9 +269,8 @@ def _finish(
         for name, side in (("lhs", lhs), ("rhs", rhs), ("cancellation scale", scale)):
             if not math.isfinite(side.value):
                 raise OverflowError(f"the {name} is {side.value!r}, not a finite number")
-    if mode == "float" and rhs.value != 0:
         limit = tol * max(1.0, scale.value)
-        if limit >= abs(rhs.value):
+        if rhs.value != 0 and limit >= abs(rhs.value):
             notes = notes + (
                 f"vacuous check: |rhs| = {_text(abs(rhs.value))} is within the tolerance "
                 f"limit {_text(limit)}, so lhs = 0 would also pass",
@@ -772,20 +772,16 @@ def sweep(config: SweepConfig) -> SweepSummary:
     do not depend on evaluation order, and a parallel driver splitting
     trials across workers would reproduce them byte for byte.
     """
-    counts = {"pass": 0, "fail": 0, "precondition_violated": 0}
-    per_identity = {
-        name: {"pass": 0, "fail": 0, "precondition_violated": 0}
-        for name in config.identities
-    }
+    per_identity = {name: dict.fromkeys(VERDICTS, 0) for name in config.identities}
     first_failure: VerificationReport | None = None
     for t in range(config.trials):
         identity = config.identities[t % len(config.identities)]
         rng = random.Random(f"{config.seed}:{t}")
         report = _random_trial(identity, rng, config)
-        counts[report.verdict] += 1
         per_identity[identity][report.verdict] += 1
         if report.verdict != "pass" and first_failure is None:
             first_failure = report
+    counts = {v: sum(tally[v] for tally in per_identity.values()) for v in VERDICTS}
     return SweepSummary(
         config=config,
         counts=counts,

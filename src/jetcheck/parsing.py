@@ -32,6 +32,8 @@ Notes on the lexical level:
 * The tree is at most ``MAX_HEIGHT`` nodes high, chains such as ``x+x+...``
   included, so the recursive walks of a parsed tree fit in the interpreter's
   stack; a higher node is a parse error at the token that would build it.
+  Each bound is checked in one parser method, a leaf call, so a parse still
+  takes one recursion frame per level.
 * An integer longer than the interpreter's int-to-str digit limit, a
   decimal beyond the float range and a constant exponent whose fold
   overflows are parse errors.  :func:`parse_number` reads one signed
@@ -155,7 +157,9 @@ class _Parser:
     """One parse of a list of token texts, ending in ''.  Each rule returns its
     node with the node's height (1 for a leaf) and the largest product of
     integer-power exponent magnitudes on a path down from it (at least 1).
-    A ParseError raised here carries a token's index as its offset."""
+    :meth:`up` checks the height bound and :meth:`enter` the nesting bound,
+    each a leaf call, so a parse still takes one recursion frame per level.  A
+    ParseError raised here carries a token's index as its offset."""
 
     __slots__ = ("texts", "pos", "depth")
 
@@ -167,6 +171,18 @@ class _Parser:
     def fail(self, at: int, expected: str, found: str | None = None) -> NoReturn:
         text = self.texts[at]
         raise ParseError(at, expected, found or (f"'{text}'" if text else "end of input"))
+
+    def up(self, at: int, height: int) -> int:
+        """The height over a child ``height`` high of a node built at token ``at``."""
+        if height == MAX_HEIGHT:
+            self.fail(at, _HIGH, "one more")
+        return height + 1
+
+    def enter(self, at: int) -> None:
+        """Open a level of nesting at token ``at``; the caller decrements ``depth``."""
+        if self.depth == MAX_NESTING:
+            self.fail(at, _DEEP, "one more")
+        self.depth += 1
 
     def binary(self, level: int) -> tuple[Expr, int, int]:
         """A sum (level 0) or a product (level 1) of the operands one level down."""
@@ -181,9 +197,7 @@ class _Parser:
                 height = h
             if p > most:
                 most = p
-            if height == MAX_HEIGHT:
-                self.fail(at, _HIGH, "one more")
-            node, height = build(node, right), height + 1
+            node, height = build(node, right), self.up(at, height)
             build = ops.get(texts[self.pos])
         return node, height, most
 
@@ -198,41 +212,31 @@ class _Parser:
         elif text[:1].isdecimal():
             node, height, most = Const(Scalar(_number(text, 0))), 1, 1
         elif text == "-":
-            if self.depth == MAX_NESTING:
-                self.fail(at, _DEEP, "one more")
-            self.depth += 1
+            self.enter(at)
             arg, height, most = self.factor()
             self.depth -= 1
-            if height == MAX_HEIGHT:
-                self.fail(at, _HIGH, "one more")
-            return Neg(arg), height + 1, most
+            return Neg(arg), self.up(at, height), most
         elif text == "(" or text in ELEMENTARY_FUNCTIONS:
             if text != "(":
                 if texts[self.pos] != "(":
                     self.fail(self.pos, f"'(' after '{text}'")
                 self.pos += 1
-            if self.depth == MAX_NESTING:
-                self.fail(at, _DEEP, "one more")
-            self.depth += 1
+            self.enter(at)
             node, height, most = self.binary(0)
             self.depth -= 1
             if texts[self.pos] != ")":
                 self.fail(self.pos, f"')' to close the {'group' if text == '(' else 'function argument'}")
             self.pos += 1
             if text != "(":
-                if height == MAX_HEIGHT:
-                    self.fail(at, _HIGH, "one more")
-                node, height = Apply(text, node), height + 1
+                node, height = Apply(text, node), self.up(at, height)
         else:
             self.fail(at, "'x' or a function name" if text[:1].isalpha() or text[:1] == "_"
                       else "a number, 'x', a function name, or '('")
         caret = self.pos
         if texts[caret] != "^":
             return node, height, most
-        if self.depth == MAX_NESTING:
-            self.fail(caret, _DEEP, "one more")
+        self.enter(caret)
         self.pos = first = caret + 1
-        self.depth += 1
         exponent = self.factor()[0]
         self.depth -= 1
         if exponent.__class__ is Const:
@@ -245,14 +249,10 @@ class _Parser:
             if value is None:
                 self.fail(first, "a constant exponent", "a non-constant expression")
         if not (value.is_exact and value.value.denominator == 1):
-            if height == MAX_HEIGHT:
-                self.fail(caret, _HIGH, "one more")
-            return PowReal(node, value), height + 1, most
+            return PowReal(node, value), self.up(caret, height), most
         k = int(value.value)
         folded = None
-        if node.__class__ is Const:
-            folded = node.value
-        elif node is not X:
+        if node is not X:
             try:
                 folded = constant_value(node)
             except OverflowError:  # a float power beyond the float range, not an exact one
@@ -264,9 +264,7 @@ class _Parser:
             self.fail(first, "exponents whose product over nested powers is at most "
                       f"{MAX_EXPONENT} in magnitude and a power of at most "
                       f"{MAX_CONSTANT_BITS} bits", "a larger one")
-        if height == MAX_HEIGHT:
-            self.fail(caret, _HIGH, "one more")
-        return PowInt(node, k), height + 1, max(1, nested)
+        return PowInt(node, k), self.up(caret, height), max(1, nested)
 
 
 def parse(source: str) -> Expr:

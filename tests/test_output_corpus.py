@@ -7,8 +7,10 @@ verify/binomid/lemma kind in text and JSON, exact and ``--float``, every
 elementary recurrence and non-integer real powers at n >= 10, exact
 constants that scale, shift and divide jets and zero constants as divisors,
 exact lhs and scales over tables of different denominators, a large float
-instance, a flag value ``--``, the README soak sweep and a ``--negative``
-sweep, so a refactor that changes a single output byte fails here.
+instance, a flag value ``--``, tokens after a standalone ``--``, argparse's
+abbreviations and ``-`` prefixed values, the README soak sweep and a
+``--negative`` sweep, so a refactor that changes a single output byte fails
+here.
 
 The module needs no pytest: ``python tests/test_output_corpus.py`` prints the
 table for the running interpreter, which compares Python versions with a
@@ -63,6 +65,8 @@ KINDS = [
      "--rhs-form", "as_printed"],
     ["lemma", "--f", "x^3-8", "--n", "3", "--at", "2"],
 ]
+
+BARAN = ["verify", "baran", "--n", "2", "--f", "x", "--g", "x^2"]
 
 OTHERS = [
     # float digits of the elementary recurrences and of a large cancellation
@@ -139,6 +143,20 @@ OTHERS = [
     ["verify", "baran", "--n", "2", "--f", "x", "--g", "x", "--at", "--"],
     ["sweep", "--identities", "--"],
     ["verify", "baran", "--n", "--", "--f", "x", "--g", "x", "--at", "1", "--json"],
+    # tokens after a standalone "--" are not joined to a flag before it
+    ["verify", "baran", "--n", "2", "--", "--f", "x"],
+    ["verify", "--", "baran", "--n", "2"],
+    ["lemma", "--f", "x-1", "--", "--n", "-2", "--at", "1"],
+    # argparse's abbreviations, "-" prefixed values and options before a
+    # positional, which write the same bytes on every supported interpreter
+    BARAN + ["--at", "3", "--pe", "1"],
+    BARAN + ["--at", "3", "--fl"],
+    ["sweep", "--trials", "3", "--max", "2"],
+    BARAN + ["--at", "-3/2"],
+    ["sweep", "--trials", "3", "--identities", "-baran"],
+    BARAN + ["--at", "-"],
+    ["verify", "--n", "2", "baran", "--f", "x", "--g", "x^2", "--at", "3"],
+    ["lemma", "--f", "x-1", "--n", "2", "--at", "1", "--he"],
     # exact cancellation scales of theorem1 and corollary2 over tables of
     # different denominators, which only the kernel puts over one; baran and
     # corollary2 with powers x^0 to x^5 and a coefficient c = 1
