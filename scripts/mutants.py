@@ -104,6 +104,20 @@ MUTANTS = {
     "join_past_separator": (
         CLI, '        elif tok == "--":\n            return out + list(argv[i:])\n', "",
         "tests/test_output_corpus.py::test_corpus_output_is_unchanged"),
+    # a plain pass that starts from the actions' defaults only, without the
+    # parser's set_defaults entries (the handler among them)
+    "plain_table_defaults": (
+        CLI, "        self.defaults.update(self._defaults)\n", "",
+        "tests/test_cli.py::test_plain_pass_agrees_with_argparse_on_the_workload_shapes"),
+    # a lemma that reads only order n, passing an f^n nonzero at a lower order
+    "lemma_lower_orders": (
+        IDENTITIES, "if bad:", "if False:",
+        "tests/test_output_corpus.py::test_corpus_output_is_unchanged"),
+    # a float integer exponent taken as a real one, so a negative base is a domain error
+    "real_power_integer_float": (
+        EXPRS, "    elif not alpha.is_exact and float(alpha).is_integer():\n"
+        "        m = int(float(alpha))\n", "",
+        "tests/test_exprs.py::test_integer_real_powers_match_the_oracle_at_a_negative_point"),
 }
 
 

@@ -78,44 +78,38 @@ class _Store(argparse._StoreAction):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a usage error by raising UsageError,
-    so :func:`run` writes it as one line to its own ``stderr``, and its help
-    text by raising _Help, so :func:`run` writes it to its own ``stdout``;
-    subcommand parsers inherit the class.
+    """An argument parser that raises UsageError for a usage error and _Help
+    for its help text, which :func:`run` writes to its own ``stderr`` (as one
+    line) and ``stdout``; subcommand parsers inherit the class.
 
-    Each parser keeps a table of the actions added to it, which
-    :meth:`parse_plain` reads: ``options`` maps each option string that takes
-    a value to its slot (dest, type, choices), ``switches`` each store_true
-    flag to its slot and const, ``positionals`` lists the slots of the
-    positionals, and ``defaults`` is the namespace argparse starts from: each
-    action's default, then each :meth:`set_defaults` entry.  The whole
+    :meth:`tabulate` reads the parser's own actions, once all are added, into
+    the table :meth:`parse_plain` reads: ``options`` maps each option string
+    that takes a value to its slot (dest, type, choices), ``switches`` each
+    store_true flag to its slot and const, ``positionals`` lists the slots of
+    the positionals, and ``defaults`` is the namespace argparse starts from:
+    each action's default, then each :meth:`set_defaults` entry.  The whole
     parser's ``value_flags`` holds every subcommand's ``options`` strings, and
     ``commands`` the parser of each subcommand by name."""
 
     def __init__(self, **kwargs) -> None:
-        self.options: dict[str, tuple] = {}
-        self.switches: dict[str, tuple] = {}
-        self.positionals: list[tuple] = []
-        self.defaults: dict[str, object] = {}
         super().__init__(**kwargs)
         self.register("action", None, _Store)
 
-    def add_argument(self, *args, **kwargs) -> argparse.Action:
-        action = super().add_argument(*args, **kwargs)
-        slot = (action.dest, action.type, action.choices)
-        if not action.option_strings:
-            self.positionals.append(slot)
-        elif action.nargs is None:
-            self.options.update(dict.fromkeys(action.option_strings, slot))
-        elif kwargs.get("action") == "store_true":
-            self.switches.update(dict.fromkeys(action.option_strings, (slot, action.const)))
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            self.defaults.setdefault(action.dest, action.default)
-        return action
-
-    def set_defaults(self, **kwargs) -> None:
-        super().set_defaults(**kwargs)
-        self.defaults.update(kwargs)
+    def tabulate(self) -> dict[str, tuple]:
+        """Fill the table from the actions and defaults; returns ``options``."""
+        self.options, self.switches, self.positionals, self.defaults = {}, {}, [], {}
+        for action in self._actions:
+            slot = (action.dest, action.type, action.choices)
+            if not action.option_strings:
+                self.positionals.append(slot)
+            elif action.nargs is None:
+                self.options.update(dict.fromkeys(action.option_strings, slot))
+            elif isinstance(action, argparse._StoreTrueAction):
+                self.switches.update(dict.fromkeys(action.option_strings, (slot, action.const)))
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                self.defaults.setdefault(action.dest, action.default)
+        self.defaults.update(self._defaults)
+        return self.options
 
     def parse_plain(self, argv: Sequence[str]) -> argparse.Namespace | None:
         """The namespace :meth:`parse_args` gives for argv of the plainest
@@ -319,6 +313,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="add Q to the computed rhs (negative testing)")
 
 
+# sweep's integer flags, each a SweepConfig field that gives its default
+_SWEEP_INTS = ("seed", "trials", "max_n", "max_r", "coeff_bound", "degree_bound")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="jetcheck",
@@ -366,7 +364,7 @@ def build_parser() -> _Parser:
     le.set_defaults(handler=_handle_lemma)
 
     sw = sub.add_parser("sweep", help="seeded randomized fuzzing")
-    for name in ("seed", "trials", "max_n", "max_r", "coeff_bound", "degree_bound"):
+    for name in _SWEEP_INTS:
         sw.add_argument("--" + name.replace("_", "-"), dest=name, type=int,
                         default=getattr(SweepConfig, name))
     sw.add_argument("--identities",
@@ -376,8 +374,8 @@ def build_parser() -> _Parser:
     sw.add_argument("--json", dest="as_json", action="store_true")
     sw.set_defaults(handler=_handle_sweep)
 
-    parser.value_flags = set().union(*(sp.options for sp in sub.choices.values()))
     parser.commands = dict(sub.choices)
+    parser.value_flags = set().union(*(sp.tabulate() for sp in parser.commands.values()))
     return parser
 
 
@@ -468,16 +466,10 @@ def _handle_lemma(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> i
 def _handle_sweep(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
     if args.identities is not None:
         names = tuple(part.strip() for part in args.identities.split(","))
-    elif args.negative:
-        names = PERTURBABLE_IDENTITIES
     else:
-        names = IDENTITIES
-    config = SweepConfig(
-        seed=args.seed, trials=args.trials, max_n=args.max_n, max_r=args.max_r,
-        coeff_bound=args.coeff_bound, degree_bound=args.degree_bound,
-        identities=names, negative=args.negative,
-    )
-    summary = sweep(config)
+        names = PERTURBABLE_IDENTITIES if args.negative else IDENTITIES
+    config = {name: getattr(args, name) for name in _SWEEP_INTS}
+    summary = sweep(SweepConfig(**config, identities=names, negative=args.negative))
     stdout.write(emit_summary(summary, "json" if args.as_json else "text"))
     stdout.write("\n")
     bad = summary.counts["fail"] + summary.counts["precondition_violated"]

@@ -44,19 +44,19 @@ T[k] = values[k] / (d e^k): in exact mode Python integers over the
 denominator each entry has by its own algebra (a power of g over d_g^k has
 e = d_g), float tables the same floats with d = e = 1.  Only the kernel puts
 the tables over one denominator, so the fold is integer arithmetic and it
-divides once for the lhs and once for the scale.  Jets hold integers over
-one denominator (:meth:`Jet.cleared`), so :func:`_cleared` clears only
-scalar inputs.  The last fold forms only entry n, the one an identity reads.
+divides once for the lhs and once for the scale.  The last fold forms only
+entry n, the one an identity reads.
 
-Between its edges the module works on plain values: ``Fraction`` in exact
-mode, ``float`` in float mode.  :func:`_check_sizes` makes list inputs
-tuples; once :func:`_mode_for` has chosen the mode, Scalar inputs become
-plain values, and a jet coefficient enters a right-hand side as its cleared
-numerator and denominator (:func:`_at`); only :func:`_report` builds a
-report, whose ``params`` is rendered on first read; :func:`eval_jet` is given
-the mode, so no tree is walked twice.  Series products and powers, and every
-sum over coefficient values, come from the series core in
-:mod:`jetcheck.jets`.
+Between its edges the module works on plain values: integers over a shared
+denominator, or ``Fraction``, in exact mode, ``float`` in float mode.
+:func:`_check_sizes` makes list inputs tuples; once :func:`_mode_for` has
+chosen the mode, a Scalar list input is cleared once (:func:`_cleared`) and a
+jet read once (:meth:`Jet.cleared`), each to numerators over one denominator
+that enter the tables and a right-hand side as they are (:func:`_at`); only
+:func:`_report` builds a report, whose ``params`` is rendered on first read;
+:func:`eval_jet` is given the mode, so no tree is walked twice.  Series
+products and powers, and every sum over coefficient values, come from the
+series core in :mod:`jetcheck.jets`.
 Every weighted right-hand side (n!, multinomial(n, s), or 1 for baran) is
 formed exactly by :func:`_product` and, in float mode, rounded once, so n!
 never has to fit in a float on its own.
@@ -200,11 +200,6 @@ def _check_sizes(n: int, r: int | None = None, **lists: Sequence) -> tuple:
     return (r, *lists.values())
 
 
-def _plain(scalars: Sequence[Scalar], mode: str) -> list:
-    """Scalar inputs as plain Fraction (exact mode) or float values."""
-    return [float(v) if mode == "float" else v.value for v in scalars]
-
-
 def _at(jet: tuple[Sequence, int], k: int, exponent: int = 1) -> tuple:
     """The :func:`_product` factor of Taylor coefficient k of a jet read by
     :meth:`Jet.cleared`: (values[k], d, exponent); 0 beyond its order, where a
@@ -321,9 +316,12 @@ def _param_text(value) -> str:
     return value.as_text() if isinstance(value, Scalar) else to_text(value)
 
 
-def _cleared(values: Sequence, mode: str) -> tuple[list, int]:
-    """Exact values as integers over their least common denominator; float values over 1."""
-    return clear_denominators(values) if mode == "exact" else (list(values), 1)
+def _cleared(scalars: Sequence[Scalar], mode: str) -> tuple[list, int]:
+    """Scalar inputs as integers over their least common denominator in
+    exact mode, as floats over 1 in float mode."""
+    if mode == "float":
+        return [float(v) for v in scalars], 1
+    return clear_denominators([v.value for v in scalars])
 
 
 def _convolve(tables: Sequence[tuple[Sequence, int, int]], n: int, mode: str) -> tuple:
@@ -377,14 +375,14 @@ def _powers(g: Sequence, n: int) -> list[Sequence]:
     return powers
 
 
-def _derivative_table(f: tuple, g_powers: list, d_g: int, s: int, mode: str, c=1) -> tuple:
-    """The table c^k (f * g^k)^(s)(x0): with c = c_num / c_den, entry k is
-    c_num^k s! [t^s](F G^k) over d_f (d_g c_den)^k, one dot product each,
-    because only the s-th coefficient of f * g^k is read; f = (F, d_f) from
-    :meth:`Jet.cleared`, g_powers the powers of G from :func:`_powers`."""
-    (f, d), ((c,), c_den), weight = f, _cleared([c], mode), math.factorial(s)
+def _derivative_table(f: tuple, g_powers: list, e: int, s: int, c=1) -> tuple:
+    """The table (c / c_den)^k (f * g^k)^(s)(x0) for e = d_g c_den: entry k
+    is c^k s! [t^s](F G^k) over d_f e^k, one dot product each, because only
+    the s-th coefficient of f * g^k is read; f = (F, d_f) from
+    :meth:`Jet.cleared`, g_powers the powers of G = d_g g from :func:`_powers`."""
+    (f, d), weight = f, math.factorial(s)
     values = [weight * coefficient(f, p, s) for p in g_powers]
-    return values if c == 1 else [c ** k * v for k, v in enumerate(values)], d, d_g * c_den
+    return values if c == 1 else [c ** k * v for k, v in enumerate(values)], d, e
 
 
 def _collapse_rhs(n: int, s: MultiIndex, f: Sequence[tuple], slopes: Iterable[tuple], mode: str):
@@ -418,8 +416,7 @@ def theorem1_verify(
     if note is not None:
         return _report("theorem1", params, mode, tol, "precondition_violated", (note,))
 
-    tables = [_derivative_table(fi, _powers(cg, n), dg, si, mode)
-              for fi, (cg, dg), si in zip(f, g, s)]
+    tables = [_derivative_table(fi, _powers(cg, n), dg, si) for fi, (cg, dg), si in zip(f, g, s)]
     lhs, scale = _convolve(tables, n, mode)
     rhs = _collapse_rhs(n, s, f, [_at(gi, 1, si) for gi, si in zip(g, s)], mode)
     return _finish("theorem1", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
@@ -438,19 +435,18 @@ def _corollary2_core(
     rhs_shift: Scalar | None,
 ) -> VerificationReport:
     x0, mode = _mode_for(x0, tuple(f) + (g,), (*c, rhs_shift))
-    c = _plain(c, mode)
-    note = _hypothesis_note("sum of c", *_cleared(c, mode), mode)
+    c, c_den = _cleared(c, mode)
+    note = _hypothesis_note("sum of c", c, c_den, mode)
     if note is not None:
         return _report(identity, params, mode, tol, "precondition_violated", (note,))
 
     f = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(f, s)]
     g = eval_jet(g, x0, max(s), mode=mode).cleared()
-    g_powers = _powers(g[0], n)
-    lhs, scale = _convolve(
-        [_derivative_table(fi, g_powers, g[1], si, mode, ci) for fi, ci, si in zip(f, c, s)], n, mode
-    )
+    g_powers, e = _powers(g[0], n), g[1] * c_den
+    tables = [_derivative_table(fi, g_powers, e, si, ci) for fi, ci, si in zip(f, c, s)]
+    lhs, scale = _convolve(tables, n, mode)
     # g_i = c_i g, so g_i'^(s_i) = c_i^(s_i) g'^(s_i).
-    slopes = [(ci, 1, si) for ci, si in zip(c, s)] + [_at(g, 1, s.weight)]
+    slopes = [(ci, c_den, si) for ci, si in zip(c, s)] + [_at(g, 1, s.weight)]
     rhs = _collapse_rhs(n, s, f, slopes, mode)
     return _finish(identity, params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
@@ -587,8 +583,8 @@ def _family_check(
     r, alpha, c, s = _check_sizes(n, r, alpha=alpha, c=c, s=s)
     params = _params(n=n, r=r, s=s, alpha=alpha, beta=beta, c=c, **extra_params)
     beta, mode = _mode_for(beta, (), (*alpha, *c, rhs_shift))
-    alpha, beta, c = _plain(alpha, mode), beta.value, _plain(c, mode)
-    note = _hypothesis_note("sum of c", *_cleared(c, mode), mode)
+    c, c_den = _cleared(c, mode)
+    note = _hypothesis_note("sum of c", c, c_den, mode)
     if note is None and s.weight != n:
         note = f"this closed form needs |s| = n, got |s| = {s.weight} with n = {n}"
     if note is not None:
@@ -597,13 +593,12 @@ def _family_check(
     (*a, b), q = _cleared([*alpha, beta], mode)
     tables = []
     for ai, ci, si in zip(a, c, s):
-        (ci,), c_den = _cleared([ci], mode)
         den, values = entry_den(si, q), [entry(ai + k * b, si, q) for k in range(n + 1)]
         if mode == "float":  # float tables are over 1: each entry is divided first
             values, den = [v / den for v in values], 1
         tables.append(([ci ** k * v for k, v in enumerate(values)], den, c_den))
     lhs, scale = _convolve(tables, n, mode)
-    value, notes = rhs([(beta, 1, n), *[(ci, 1, si) for ci, si in zip(c, s)]], mode)
+    value, notes = rhs([(b, q, n), *[(ci, c_den, si) for ci, si in zip(c, s)]], mode)
     return _finish(identity, params, mode, lhs, value, scale, tol, notes, rhs_shift)
 
 

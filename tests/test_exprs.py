@@ -219,6 +219,72 @@ def test_oracle_jet_equivalence_float():
         checked += 1
 
 
+# Real-power exponents of every kind the evaluators tell apart: exact p/q,
+# exact integer (only a hand-built node holds one: pow_real folds it to a
+# PowInt), float, and float integer.
+REAL_EXPONENTS = (Scalar.exact(1, 2), Scalar.exact(-2, 3), Scalar.exact(5, 2), Scalar.exact(2),
+                  Scalar.inexact(0.5), Scalar.inexact(-1.5), Scalar.inexact(2.0),
+                  Scalar.inexact(3.0))
+
+
+def _rand_quotient_power(rng: random.Random, depth: int) -> Expr:
+    """Random float-mode tree built around quotients and real powers."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.6:
+            return Var()
+        return Const(Scalar.inexact(rng.randint(1, 4) / rng.randint(1, 3)))
+    op = rng.choice(("div", "div", "pow", "pow", "add", "mul", "exp"))
+    a = _rand_quotient_power(rng, depth - 1)
+    if op == "pow":
+        return PowReal(a, rng.choice(REAL_EXPONENTS))
+    if op == "exp":
+        return Apply("exp", a)
+    return {"div": Div, "add": Add, "mul": Mul}[op](a, _rand_quotient_power(rng, depth - 1))
+
+
+def _nodes(e: Expr):
+    yield e
+    for child in e._fields:
+        if isinstance(getattr(e, child), Expr):
+            yield from _nodes(getattr(e, child))
+
+
+def _assert_jet_matches_the_oracle(e: Expr, x0: Scalar, kmax: int) -> None:
+    jet = eval_jet(e, x0, kmax)
+    for k in range(kmax + 1):
+        a, b = float(jet.derivative(k)), float(nth_derivative(e, k, x0))
+        assert rel_close(a, b, 1e-9), (to_text(e), x0, k, a, b)
+
+
+@pytest.mark.parametrize("e", [
+    parse("x^2.0"),
+    PowReal(Var(), Scalar.exact(2)),
+    Div(PowReal(Var(), Scalar.exact(2)), Add(Var(), Const(Scalar.exact(3)))),
+    Div(Const(Scalar.exact(1)), PowReal(Sub(Var(), Const(Scalar.exact(1))), Scalar.inexact(3.0))),
+])
+def test_integer_real_powers_match_the_oracle_at_a_negative_point(e):
+    # a negative base takes only an integer exponent, float or exact
+    _assert_jet_matches_the_oracle(e, Scalar.inexact(-1.5), 5)
+
+
+def test_oracle_jet_equivalence_on_quotients_and_real_powers():
+    rng = random.Random("exprs-quotient-power")
+    seen, checked = set(), 0
+    while checked < 120:
+        e = _rand_quotient_power(rng, 3)
+        nodes = list(_nodes(e))
+        powers = [node.exponent for node in nodes if isinstance(node, PowReal)]
+        if not powers or not any(isinstance(node, Div) for node in nodes):
+            continue
+        x0 = pick_float_point(rng, e, 5)
+        if x0 is None:
+            continue
+        _assert_jet_matches_the_oracle(e, x0, 5)
+        seen.update(powers)
+        checked += 1
+    assert seen == set(REAL_EXPONENTS)
+
+
 # Trees whose constant-only subtrees cover the forms that stay numbers in exact
 # mode: a negated constant, a constant power (0^-k too), a constant quotient
 # (/0 too), a jet over a constant, a constant over a jet and a constant minus

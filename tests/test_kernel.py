@@ -413,9 +413,9 @@ ORDERS = st.lists(st.integers(0, 3), min_size=1, max_size=16)
 def _table(f, g, s, n, c=1):
     """_derivative_table of Fraction lists F and G at order s, as theorem1
     (c = 1) and corollary2 build it."""
-    g, d_g = clear_denominators(g)
-    return identities._derivative_table(clear_denominators(f), identities._powers(g, n), d_g, s,
-                                        "exact", c)
+    (g, d_g), c = clear_denominators(g), Fraction(c)
+    return identities._derivative_table(clear_denominators(f), identities._powers(g, n),
+                                        d_g * c.denominator, s, c.numerator)
 
 
 def _coefficients(s):
@@ -552,7 +552,7 @@ def float_outputs() -> tuple[str, int]:
                 line(_hexes(map(float, power)))
             for f in FLOAT_TAILS:
                 for s, c in ((0, 1), (2, 1), (4, -2.5), (3, -0.0)):
-                    values, d, e = identities._derivative_table((f, 1), powers, 1, s, "float", c)
+                    values, d, e = identities._derivative_table((f, 1), powers, 1, s, c)
                     line(f"{_hexes(values)} {d} {e}")
     calls = []
     for x0 in FLOAT_POINTS:

@@ -95,6 +95,8 @@ OTHERS = [
     ["lemma", "--f", "x^2", "--n", "2", "--at", "1", "--json"],
     ["verify", "corollary2", "--n", "2", "--s", "1,1", "--c", "1,-1", "--f", "x,1",
      "--g", "x^2", "--at", "1", "--perturb-rhs", "1/7"],
+    # a lemma failing at an order below n only
+    ["lemma", "--f", "x-1+0.0000000000001", "--n", "2", "--at", "1", "--tol", "1e-15"],
     # usage and domain errors, among them each list-size message
     ["verify", "baran", "--n", "2", "--f", "x,x", "--g", "x", "--at", "1"],
     ["verify", "theorem1", "--n", "2", "--s", "1,1", "--f", "1,x", "--g", "x", "--at", "2"],
@@ -105,6 +107,9 @@ OTHERS = [
     ["binomid", "eq4", "--n", "2", "--r", "3", "--s", "1,1", "--c", "1,-1", "--alpha", "1,2",
      "--beta", "1"],
     ["verify", "leibniz_product", "--n", "2", "--f", "1/(x-1)", "--g", "x", "--at", "1"],
+    # the single --s of the two-term binomial forms
+    ["binomid", "eq5", "--n", "2", "--s", "1,1", "--alpha", "0,0", "--beta", "1"],
+    ["binomid", "eq7", "--n", "2", "--s", "3", "--alpha", "0,0", "--beta", "1"],
     # exact constants meeting jets: scaled, shifted, over a jet and as powers;
     # a zero constant as a divisor or a base with a negative exponent
     ["verify", "baran", "--n", "6", "--f", "-3/2*x^2+(2/3)/(4/5)*x-(1/2)^3",
