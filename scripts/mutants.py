@@ -22,7 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 JETS, IDENTITIES = "src/jetcheck/jets.py", "src/jetcheck/identities.py"
-EXPRS = "src/jetcheck/exprs.py"
+EXPRS, NUMERIC = "src/jetcheck/exprs.py", "src/jetcheck/numeric.py"
 CLI, PARSING = "src/jetcheck/cli.py", "src/jetcheck/parsing.py"
 DIVISION_GRID = "tests/test_jets.py::test_division_and_number_operands_keep_their_bits"
 
@@ -115,9 +115,19 @@ MUTANTS = {
         "tests/test_output_corpus.py::test_corpus_output_is_unchanged"),
     # a float integer exponent taken as a real one, so a negative base is a domain error
     "real_power_integer_float": (
-        EXPRS, "    elif not alpha.is_exact and float(alpha).is_integer():\n"
-        "        m = int(float(alpha))\n", "",
+        NUMERIC, "if v.__class__ is Fraction else v.is_integer()",
+        "if v.__class__ is Fraction else False",
         "tests/test_exprs.py::test_integer_real_powers_match_the_oracle_at_a_negative_point"),
+    # a mode read from the point and the scalars only, so a decimal in a tree
+    # that its derivative drops no longer makes the evaluation float
+    "mode_for_trees": (
+        EXPRS, "    for e in exprs:\n        lift = lift or contains_float(e)\n", "",
+        "tests/test_exprs.py::test_nth_derivative_takes_its_mode_from_the_given_tree"),
+    # a constant's precedence read from its value, so -0.0 prints unparenthesized
+    # as a power's base and reads back as a negated power
+    "txt_negative_zero": (
+        EXPRS, 'p = 3 if s[0] == "-" else 5', "p = 3 if e.value.value < 0 else 5",
+        "tests/test_exprs.py::test_to_text_spot"),
 }
 
 

@@ -17,12 +17,13 @@ A single decimal constant anywhere in a tree marks the whole evaluation as
 float mode; otherwise evaluation inherits the mode of the evaluation point.
 The first half of the rule is stated at construction: every node records in
 ``has_float`` whether a float literal lies at or below it, so a tree is never
-walked for its mode.  :func:`_mode_for` is the one statement of the whole
-rule, for every walk and every verifier.  Exact mode refuses transcendental
-nodes with a ModeError rather than returning a rounded value.  Constant
-folding (:func:`constant_value`, which the parser and the constructors of
-:func:`diff` use) is the evaluator run without a point, so a constant folds
-to the value the same text evaluates to anywhere else.
+walked for its mode.  :func:`_mode_for`, the one statement of the whole rule,
+reads it from each evaluation's own inputs.  An exponent with an integer
+value, exact or float, is an integer power to the jets and the oracle alike.
+Exact mode refuses transcendental nodes with a ModeError rather than returning
+a rounded value.  Constant folding (:func:`constant_value`, used by the parser
+and by :func:`diff`'s constructors) is the evaluator run without a point, so a
+constant folds to the value the same text evaluates to anywhere else.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .jets import ELEMENTARY_FUNCTIONS, Jet
-from .numeric import DomainError, ModeError, Scalar
+from .numeric import DomainError, ModeError, Scalar, integer_value
 
 # The recursive walks below take one frame per tree level, so trees are
 # bounded in height where they are built: the parser's at MAX_HEIGHT, and a
@@ -320,13 +321,13 @@ def _mode_for(
 ) -> tuple[Scalar, str]:
     """Evaluation point and ambient mode: float as soon as any input is, a
     decimal literal in a tree or an rhs shift included; a None scalar (no
-    shift) is skipped."""
-    lift = (
-        not x0.is_exact
-        or any(s is not None and not s.is_exact for s in scalars)
-        or any(contains_float(e) for e in exprs)
-    )
-    return (x0.to_float() if lift else x0), ("float" if lift else "exact")
+    shift) is skipped.  Plain loops, no generators: every evaluation calls it."""
+    lift = not x0.is_exact
+    for s in scalars:
+        lift = lift or (s is not None and not s.is_exact)
+    for e in exprs:
+        lift = lift or contains_float(e)
+    return (x0.to_float(), "float") if lift else (x0, "exact")
 
 
 def constant_value(e: Expr) -> Scalar | None:
@@ -365,13 +366,8 @@ def _eval(e: Expr, x0: Fraction | float | None, lift: bool, memo: dict) -> Fract
         if den == 0:
             raise DomainError(f"division by zero in '{to_text(e)}'")
         out = _eval(e.left, x0, lift, memo) / den
-    elif isinstance(e, PowInt):
-        base = _eval(e.base, x0, lift, memo)
-        if e.exponent < 0 and base == 0:
-            raise DomainError(f"zero base with negative exponent in '{to_text(e)}'")
-        out = base ** e.exponent
-    elif isinstance(e, PowReal):
-        out = _real_power(e, _eval(e.base, x0, lift, memo))
+    elif isinstance(e, (PowInt, PowReal)):
+        out = _power(e, _eval(e.base, x0, lift, memo))
     elif isinstance(e, Apply):
         out = _applied(e, _eval(e.arg, x0, lift, memo))
     else:
@@ -380,14 +376,9 @@ def _eval(e: Expr, x0: Fraction | float | None, lift: bool, memo: dict) -> Fract
     return out
 
 
-def _real_power(e: PowReal, base: Fraction | float) -> Fraction | float:
+def _power(e: PowInt | PowReal, base: Fraction | float) -> Fraction | float:
     """The value of ``e`` where its base has the value ``base``."""
-    alpha = e.exponent
-    m: int | None = None
-    if alpha.is_exact and alpha.value.denominator == 1:
-        m = int(alpha.value)
-    elif not alpha.is_exact and float(alpha).is_integer():
-        m = int(float(alpha))
+    m = e.exponent if e.__class__ is PowInt else integer_value(e.exponent)
     if m is not None:
         if m < 0 and base == 0:
             raise DomainError(f"zero base with negative exponent in '{to_text(e)}'")
@@ -396,7 +387,7 @@ def _real_power(e: PowReal, base: Fraction | float) -> Fraction | float:
         raise ModeError(f"non-integer power in '{to_text(e)}' requires float mode")
     if not base > 0:
         raise DomainError(f"non-positive base for real power in '{to_text(e)}'")
-    return math.pow(base, float(alpha))
+    return math.pow(base, float(e.exponent))
 
 
 def _applied(e: Apply, arg: Fraction | float) -> float:
@@ -427,13 +418,9 @@ def _named(node: Expr, op, *operands) -> Jet:
         raise DomainError(f"{err} in '{to_text(node)}'") from None
 
 
-def eval_jet(e: Expr, x0: Scalar, order: int, *, mode: str | None = None) -> Jet:
+def eval_jet(e: Expr, x0: Scalar, order: int) -> Jet:
     """Evaluate into an order-n jet at x0, by structural recursion onto the
-    jet operations.  Mode selection matches :func:`eval_scalar`, unless the
-    caller passes the ``mode`` it has already chosen for the tree and x0
-    ("exact" only for an exact x0 and a tree without float literals), which
-    saves a second :func:`_mode_for` call; no tree is walked either way, since
-    each node records its float-ness when it is built.
+    jet operations, in the mode :func:`eval_scalar` takes for the tree and x0.
 
     In exact mode a subtree without x stays a Fraction, which scales or
     shifts a jet through the jet's operators; it becomes a constant jet only
@@ -441,9 +428,7 @@ def eval_jet(e: Expr, x0: Scalar, order: int, *, mode: str | None = None) -> Jet
     zero to a negative power, a real power, a function, the whole tree), so
     errors read as before.  Float mode keeps every constant a jet, so its
     float operations, and bits, stay jet-by-jet."""
-    if mode is None:
-        x0, mode = _mode_for(x0, (e,))
-    seed = Jet.variable(x0.to_float() if mode == "float" else x0, order)
+    seed = Jet.variable(_mode_for(x0, (e,))[0], order)
     return _lifted(_jet(e, seed), seed)
 
 
@@ -485,8 +470,7 @@ def _jet(node: Expr, seed: Jet) -> Jet | Fraction:
                 return a / b
         return _named(node, operator.truediv, a, b)
     if cls is PowReal:
-        alpha = node.exponent if seed.is_exact else node.exponent.to_float()
-        return _named(node, Jet.pow_real, _lifted(_jet(node.base, seed), seed), alpha)
+        return _named(node, Jet.pow_real, _lifted(_jet(node.base, seed), seed), node.exponent)
     if cls is Apply:
         return _named(node, getattr(Jet, node.fn), _lifted(_jet(node.arg, seed), seed))
     raise TypeError(f"not an expression node: {node!r}")
@@ -544,8 +528,8 @@ def _height(e: Expr, heights: dict[int, int]) -> int:
 
 def _txt(e: Expr, min_prec: int) -> str:
     if (cls := e.__class__) is Const:
-        # a negative constant prints with a leading minus
-        s, p = e.value.as_text(), (3 if e.value.value < 0 else 5)
+        s = e.value.as_text()
+        p = 3 if s[0] == "-" else 5  # a leading minus, -0.0's too, reads as a negation
     elif cls is Var:
         s, p = "x", 5
     elif cls is Mul:

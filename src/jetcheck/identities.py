@@ -54,9 +54,9 @@ chosen the mode, a Scalar list input is cleared once (:func:`_cleared`) and a
 jet read once (:meth:`Jet.cleared`), each to numerators over one denominator
 that enter the tables and a right-hand side as they are (:func:`_at`); only
 :func:`_report` builds a report, whose ``params`` is rendered on first read;
-:func:`eval_jet` is given the mode, so no tree is walked twice.  Series
-products and powers, and every sum over coefficient values, come from the
-series core in :mod:`jetcheck.jets`.
+:func:`eval_jet` is given the point :func:`_mode_for` returned, a float in
+float mode, so it reads the same mode.  Series products and powers, and every
+sum over coefficient values, come from the series core in :mod:`jetcheck.jets`.
 Every weighted right-hand side (n!, multinomial(n, s), or 1 for baran) is
 formed exactly by :func:`_product` and, in float mode, rounded once, so n!
 never has to fit in a float on its own.
@@ -249,14 +249,13 @@ def _finish(
     notes: tuple[str, ...] = (),
     rhs_shift: Scalar | None = None,
 ) -> VerificationReport:
-    """The report for plain lhs, rhs and scale values, which become Scalars here.
+    """The report for lhs, rhs and scale, each the mode's plain type, which become Scalars here.
 
     A float lhs, rhs (after the shift) or scale that is not finite raises
     OverflowError.  A float check whose |rhs| is within the tolerance limit
     would pass with lhs = 0 as well; it gets a note giving both numbers, and
     its verdict stands."""
-    plain = Fraction if mode == "exact" else float
-    lhs, rhs, scale = (Scalar(v if v.__class__ is plain else plain(v)) for v in (lhs, rhs, scale))
+    lhs, rhs, scale = Scalar(lhs), Scalar(rhs), Scalar(scale)
     if rhs_shift is not None:
         rhs = rhs + (rhs_shift.to_float() if mode == "float" else rhs_shift)
         notes = notes + (f"rhs perturbed by {rhs_shift.as_text()}",)
@@ -408,8 +407,8 @@ def theorem1_verify(
     n, r, s = inst.n, inst.r, inst.s
     params = _params(n=n, r=r, s=s, f=inst.f, g=inst.g, x0=inst.x0)
     x0, mode = _mode_for(inst.x0, inst.f + inst.g, (rhs_shift,))
-    f = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(inst.f, s)]
-    g = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(inst.g, s)]
+    f = [eval_jet(e, x0, si).cleared() for e, si in zip(inst.f, s)]
+    g = [eval_jet(e, x0, si).cleared() for e, si in zip(inst.g, s)]
 
     den = math.lcm(*[d for _, d in g])
     note = _hypothesis_note("sum of g_i at x0", [v[0] * (den // d) for v, d in g], den, mode)
@@ -440,8 +439,8 @@ def _corollary2_core(
     if note is not None:
         return _report(identity, params, mode, tol, "precondition_violated", (note,))
 
-    f = [eval_jet(e, x0, si, mode=mode).cleared() for e, si in zip(f, s)]
-    g = eval_jet(g, x0, max(s), mode=mode).cleared()
+    f = [eval_jet(e, x0, si).cleared() for e, si in zip(f, s)]
+    g = eval_jet(g, x0, max(s)).cleared()
     g_powers, e = _powers(g[0], n), g[1] * c_den
     tables = [_derivative_table(fi, g_powers, e, si, ci) for fi, ci, si in zip(f, c, s)]
     lhs, scale = _convolve(tables, n, mode)
@@ -510,7 +509,7 @@ def baran_verify(
     _check_sizes(n)
     params = _params(n=n, f=f, g=g, x0=x0)
     x0, mode = _mode_for(x0, (f, g), (rhs_shift,))
-    f, g = (eval_jet(e, x0, n, mode=mode).cleared() for e in (f, g))
+    f, g = (eval_jet(e, x0, n).cleared() for e in (f, g))
     # The 1/n! cancels the n! of the n-th derivative, leaving [t^n](f g^j).
     (cf, df), (cg, dg) = f, g
     lhs, scale = _convolve(
@@ -539,7 +538,7 @@ def leibniz_product_verify(
     _check_sizes(n)
     params = _params(n=n, f=f, g=g, x0=x0)
     x0, mode = _mode_for(x0, (f, g), (rhs_shift,))
-    (cf, df), (cg, dg) = (eval_jet(e, x0, n, mode=mode).cleared() for e in (f, g))
+    (cf, df), (cg, dg) = (eval_jet(e, x0, n).cleared() for e in (f, g))
     # x = (p + q t) / q; the outer factor x0 = p / q goes into the first table.
     x, q = Jet.variable(x0, n).cleared()
     p = x[0]
@@ -690,7 +689,7 @@ def zero_power_lemma_check(
     _check_sizes(n)
     params = _params(f=f, n=n, x0=x0)
     x0, mode = _mode_for(x0, (f,), (rhs_shift,))
-    f = eval_jet(f, x0, n, mode=mode).cleared()
+    f = eval_jet(f, x0, n).cleared()
     note = _hypothesis_note("f(x0)", f[0][:1], f[1], mode)
     if note is not None:
         return _report("zero_power_lemma", params, mode, tol, "precondition_violated", (note,))

@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .numeric import DomainError, ModeError, Scalar
+from .numeric import DomainError, ModeError, Scalar, integer_value
 
 ELEMENTARY_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 
@@ -441,10 +441,9 @@ class Jet:
         (1 + u)**alpha applied to u = a/a0 - 1, which reproduces
         s! * C(alpha, s) * x0**(alpha - s) for the pure power function.
         """
-        if alpha.is_exact and alpha.value.denominator == 1:
-            return self ** int(alpha.value)
-        if not alpha.is_exact and float(alpha).is_integer():
-            return self ** int(float(alpha))
+        m = integer_value(alpha)
+        if m is not None:
+            return self ** m
         self._require_float("a non-integer real power")
         a = self._values
         if not a[0] > 0:

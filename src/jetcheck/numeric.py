@@ -169,6 +169,13 @@ class Scalar:
         return repr(self.value)
 
 
+def integer_value(s: Scalar) -> int | None:
+    """The int equal to ``s``, exact or float, or None where ``s`` is not a whole number."""
+    v = s.value
+    whole = v.denominator == 1 if v.__class__ is Fraction else v.is_integer()
+    return int(v) if whole else None
+
+
 def _digits(n: int) -> str:
     """str(n), also for an integer beyond the interpreter's int-to-str digit
     limit, which Decimal does not apply; the limit itself stays untouched."""

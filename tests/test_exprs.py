@@ -73,6 +73,12 @@ def test_eval_scalar_modes():
         eval_scalar(parse("exp(x)"), Scalar.exact(1))
     with pytest.raises(ModeError):
         eval_scalar(parse("x^(3/2)"), Scalar.exact(2))
+    # one mode rule for both evaluators: exact for an exact point and a tree
+    # without a decimal, even one that diff or Python's arithmetic would drop
+    for text in ("1/2*x", "0.5*x", "x^2 - 3/4", "x^2 - 0.75", "(0.5*x)^0 + x", "x^(1.0*2)"):
+        for x0 in (Scalar.exact(1, 3), Scalar.inexact(1 / 3)):
+            e, exact = parse(text), x0.is_exact and "." not in text
+            assert eval_jet(e, x0, 2).is_exact == eval_scalar(e, x0).is_exact == exact, (text, x0)
 
 
 def test_eval_jet_examples():
@@ -169,6 +175,14 @@ def test_a_mixed_exponent_folds_as_it_evaluates():
 def test_to_text_spot():
     assert to_text(parse("x^2 - 3/4*x")) == "x^2 - 3/4*x"
     assert to_text(parse("exp(2*x)")) == "exp(2*x)"
+    # a power of -0.0 prints its base in parentheses: -0.0^2 would read as
+    # the negation of 0.0^2, which is -0.0 where the power is 0.0
+    x0 = Scalar.inexact(1.0)
+    for e in (PowInt(Const(Scalar.inexact(-0.0)), 2),
+              PowReal(Const(Scalar.inexact(-0.0)), Scalar.inexact(2.0))):
+        assert to_text(e).startswith("(-0.0)^")
+        value, reread = eval_scalar(e, x0), eval_scalar(parse(to_text(e)), x0)
+        assert float(reread).hex() == float(value).hex() == "0x0.0p+0", to_text(e)
 
 
 @settings(deadline=None)
@@ -342,6 +356,35 @@ def test_domain_errors_name_the_node():
         eval_scalar(parse("log(x-2)"), Scalar.inexact(1.0))
     with pytest.raises(DomainError, match="sqrt"):
         eval_jet(parse("sqrt(x)"), Scalar.inexact(-1.0), 2)
+    for e, x0, message in (
+        (parse("x^0.5"), -1.0, "non-positive base for real power in 'x^0.5'"),
+        (PowReal(Var(), Scalar.inexact(-2.0)), 0.0, "zero base with negative exponent in 'x^-2.0'"),
+        (parse("exp(x)"), 1000.0, "exp overflow in 'exp(x)'"),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            eval_scalar(e, Scalar.inexact(x0))
+    with pytest.raises(DomainError, match="^derivative order must be non-negative, got -1$"):
+        nth_derivative(Var(), -1, Scalar.exact(1))
+
+
+class Odd(Expr):
+    """A node class that no evaluator knows."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        object.__setattr__(self, "has_float", False)
+
+
+def test_what_is_not_a_node_is_a_type_error():
+    for call in (lambda: diff(5), lambda: to_text(5), lambda: eval_jet(5, Scalar.exact(1), 2)):
+        with pytest.raises(TypeError, match="^not an expression node: 5$"):
+            call()
+    # a subclass that records its flag gets past the mode, to the walks' own checks
+    for x0 in (Scalar.exact(1), Scalar.inexact(1.0)):
+        for call in (lambda: eval_jet(Odd(), x0, 2), lambda: eval_scalar(Odd(), x0)):
+            with pytest.raises(TypeError, match=r"^not an expression node: Odd\(\)$"):
+                call()
 
 
 def test_eval_jet_leaves_no_reference_cycles():

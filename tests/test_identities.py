@@ -498,6 +498,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(identities=("theorem3",))
 
+    def test_bounds_and_the_identity_set_are_checked(self):
+        for config in ({"coeff_bound": 0}, {"degree_bound": -1}):
+            with pytest.raises(ValueError, match="^need coeff_bound >= 1 and degree_bound >= 0$"):
+                SweepConfig(**config)
+        with pytest.raises(ValueError, match="^identity set must not be empty$"):
+            SweepConfig(identities=())
+
     def test_every_identity_runs(self):
         summary = sweep(SweepConfig(seed=11, trials=len(IDENTITIES) * 2))
         for name in IDENTITIES:

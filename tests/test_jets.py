@@ -179,8 +179,15 @@ def test_structural_errors():
         for x, y in ((e1, f1), (f1, e1)):
             with pytest.raises(ModeError, match="^cannot combine exact and float jets$"):
                 op(x, y)
-    with pytest.raises(ModeError):
+    with pytest.raises(ModeError, match="^jet coefficients must share one scalar mode$"):
         Jet([Scalar.exact(1), Scalar.inexact(2.0)])
+    with pytest.raises(ValueError, match="^a jet needs at least the order-0 coefficient$"):
+        Jet([])
+    with pytest.raises(TypeError, match="^jet coefficients must be Scalar, got int$"):
+        Jet([1])
+    with pytest.raises(ValueError, match="^jet order must be non-negative, got -1$"):
+        Jet.variable(Scalar.exact(1), -1)
+    assert repr(Jet.variable(Scalar.exact(1, 2), 2)) == "Jet([1/2, 1, 0])"
 
 
 @settings(deadline=None)

@@ -200,6 +200,10 @@ def test_compositions_examples():
     assert [tuple(k) for k in compositions(2, 2)] == [(0, 2), (1, 1), (2, 0)]
     assert [tuple(k) for k in compositions(0, 3)] == [(0, 0, 0)]
     assert len(list(compositions(5, 3))) == 21
+    with pytest.raises(ValueError, match="^composition total must be non-negative, got -1$"):
+        list(compositions(-1, 2))
+    with pytest.raises(ValueError, match="^composition length must be positive, got 0$"):
+        list(compositions(2, 0))
 
 
 def test_compositions_are_lexicographic_and_counted():
@@ -229,6 +233,8 @@ def test_generalized_binomial_examples():
     assert generalized_binomial(Scalar.exact(5, 2), 2) == Scalar.exact(15, 8)
     assert generalized_binomial(Scalar.exact(7, 13), 0) == 1
     assert generalized_binomial(Scalar.exact(-1), 3) == -1
+    with pytest.raises(DomainError, match="^generalized binomial needs s >= 0, got -1$"):
+        generalized_binomial(1, -1)
 
 
 def test_generalized_binomial_matches_multinomial_on_integers():
