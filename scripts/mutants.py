@@ -60,9 +60,18 @@ MUTANTS = {
         "tests/test_kernel.py::test_entry_n_kernel_equals_the_composition_reference"),
     # Pascal rows rounded through floats, which are exact only up to row 56
     "kernel_float_binomials": (
-        IDENTITIES, "rows = {m: [math.comb(m, j) for j",
-        "rows = {m: [int(float(math.comb(m, j))) for j",
+        IDENTITIES, "[1, *map(operator.add, rows[-1], rows[-1][1:]), 1]",
+        "[1, *[int(float(v)) for v in map(operator.add, rows[-1], rows[-1][1:])], 1]",
         "tests/test_kernel.py::test_the_widest_tables_fold_to_the_closed_form"),
+    # Pascal rows without their last 1, which drops the term C(m, m) a_m b_0
+    "kernel_row_recurrence": (
+        IDENTITIES, "rows[-1], rows[-1][1:]), 1])", "rows[-1], rows[-1][1:])])",
+        "tests/test_kernel.py::test_entry_n_kernel_equals_the_composition_reference"),
+    # a tolerance checked for its sign only, so tol = inf makes every float check pass
+    "tolerance_finite": (
+        IDENTITIES, "if not (math.isfinite(tol) and tol > 0):", "if not tol > 0:",
+        "tests/test_error_contract.py::"
+        "test_a_tolerance_that_is_not_finite_and_positive_is_refused[baran]"),
     # float series_pow without the product by the unit
     "float_power_unit": (
         JETS, "if unit.__class__ is float or not m else None", "if not m else None",

@@ -176,19 +176,23 @@ class TheoremInstance:
             object.__setattr__(self, name, value)
 
 
-def _check_sizes(n: int, r: int | None = None, **lists: Sequence) -> tuple:
+def _check_sizes(n: int, r: int | None = None, tol: float = DEFAULT_TOL, **lists: Sequence) -> tuple:
     """Reject the sizes an identity asserts nothing about: n < 0, r < 1, a
-    list (f, g, c, alpha or s) whose length is not r, and |s| > n.
+    list (f, g, c, alpha or s) whose length is not r, and |s| > n; an n or r
+    that is not an int (a bool neither), and a tol that is not finite and > 0.
 
     Returns r, by default the length of the first list, then every list as a
     tuple, s as a :class:`MultiIndex`."""
     lists = {key: MultiIndex(v) if key == "s" else tuple(v) for key, v in lists.items()}
     if r is None:
         r = len(next(iter(lists.values()))) if lists else 1
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
+    for name, size, least, word in (("n", n, 0, "non-negative"), ("r", r, 1, "positive")):
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise TypeError(f"{name} must be an int, got {type(size).__name__}")
+        if size < least:
+            raise ValueError(f"{name} must be {word}, got {size}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     if any(len(v) != r for v in lists.values()):
         raise ValueError(
             f"{', '.join(lists)} must all have length r = {r} "
@@ -338,18 +342,19 @@ def _convolve(tables: Sequence[tuple[Sequence, int, int]], n: int, mode: str) ->
     with E = lcm(e_i), puts every product over prod(d_i) E^n, so exact mode
     divides once for each; float tables have d = e = 1.
     """
-    # the last fold reads row n alone, every other fold rows 0 to n
-    rows = {m: [math.comb(m, j) for j in range(m + 1)]
-            for m in (range(n + 1) if len(tables) > 2 else (n,))}
+    # the last fold reads row n alone, every other fold rows 0 to n by Pascal's rule
+    rows = [[1]] if len(tables) > 2 else {n: [math.comb(n, j) for j in range(n + 1)]}
+    for _ in range(n if len(tables) > 2 else 0):
+        rows.append([1, *map(operator.add, rows[-1], rows[-1][1:]), 1])
     common = math.lcm(*[e for _, _, e in tables])
     den = common ** n * math.prod(d for _, d, _ in tables)
     lhs, *rest = [values if e == common else [v * (common // e) ** k for k, v in enumerate(values)]
                   for values, _, e in tables]
-    mag = [abs(v) for v in lhs]
+    mag = list(map(abs, lhs))
     for i, values in enumerate(rest, 2):
         entries = range(n + 1) if i < len(tables) else (n,)
         lhs = _binomial_convolution(lhs, values, rows, entries)
-        mag = _binomial_convolution(mag, [abs(v) for v in values], rows, entries)
+        mag = _binomial_convolution(mag, list(map(abs, values)), rows, entries)
     if mode == "exact":
         return Fraction(lhs[-1], den), Fraction(mag[-1], den)
     return lhs[-1], mag[-1]
@@ -357,9 +362,11 @@ def _convolve(tables: Sequence[tuple[Sequence, int, int]], n: int, mode: str) ->
 
 def _binomial_convolution(a: Sequence, b: Sequence, rows: list, entries: Iterable) -> list:
     """Entries m of (a * b)_m = sum_j C(m, j) a_j b_(m-j), C(m, j) = rows[m][j],
-    each summed in :func:`ordered_sum`'s order."""
-    return [reduce(operator.add, map(operator.mul, map(operator.mul, rows[m], a), b[m::-1]), 0)
-            for m in entries]
+    each summed by :func:`ordered_sum`'s rule."""
+    if a[0].__class__ is float or b[0].__class__ is float:
+        return [reduce(operator.add, map(operator.mul, map(operator.mul, rows[m], a), b[m::-1]), 0)
+                for m in entries]
+    return [sum(map(operator.mul, map(operator.mul, rows[m], a), b[m::-1])) for m in entries]
 
 
 def _powers(g: Sequence, n: int) -> list[Sequence]:
@@ -368,9 +375,11 @@ def _powers(g: Sequence, n: int) -> list[Sequence]:
     built once."""
     powers = [[1] + [0] * (len(g) - 1), series_pow(g, 1)][:n + 1]
     prefixes = [g[m::-1] for m in range(len(g))]
+    exact = g[0].__class__ is not float
     while len(powers) <= n:
         last = powers[-1]
-        powers.append([reduce(operator.add, map(operator.mul, last, p), 0) for p in prefixes])
+        powers.append([sum(map(operator.mul, last, p)) for p in prefixes] if exact else
+                      [reduce(operator.add, map(operator.mul, last, p), 0) for p in prefixes])
     return powers
 
 
@@ -405,6 +414,7 @@ def theorem1_verify(
     a fortiori.
     """
     n, r, s = inst.n, inst.r, inst.s
+    _check_sizes(n, r, tol)
     params = _params(n=n, r=r, s=s, f=inst.f, g=inst.g, x0=inst.x0)
     x0, mode = _mode_for(inst.x0, inst.f + inst.g, (rhs_shift,))
     f = [eval_jet(e, x0, si).cleared() for e, si in zip(inst.f, s)]
@@ -463,7 +473,7 @@ def corollary2_verify(
     rhs_shift: Scalar | None = None,
 ) -> VerificationReport:
     """Check the constant-multiples form: g_i = c_i * g with sum(c) = 0."""
-    r, f, c, s = _check_sizes(n, r, f=f, c=c, s=s)
+    r, f, c, s = _check_sizes(n, r, tol, f=f, c=c, s=s)
     params = _params(n=n, r=r, s=s, c=c, f=f, g=g, x0=x0)
     return _corollary2_core("corollary2", params, n, f, g, c, s, x0, tol, rhs_shift)
 
@@ -481,7 +491,7 @@ def symmetric_pair_verify(
 ) -> VerificationReport:
     """Two-function alternating form: c = (-1, 1) and s = (p, n - p), with
     right-hand side (-1)^p n! f1 f2 g'^n."""
-    _check_sizes(n)
+    _check_sizes(n, tol=tol)
     if not 0 <= p <= n:
         raise ValueError(f"p must lie in 0..{n}, got {p}")
     params = _params(n=n, p=p, f1=f1, f2=f2, g=g, x0=x0)
@@ -506,7 +516,7 @@ def baran_verify(
     The g^k factor is a plain value at x0, not differentiated.  There is no
     hypothesis beyond the expressions being defined at x0.
     """
-    _check_sizes(n)
+    _check_sizes(n, tol=tol)
     params = _params(n=n, f=f, g=g, x0=x0)
     x0, mode = _mode_for(x0, (f, g), (rhs_shift,))
     f, g = (eval_jet(e, x0, n).cleared() for e in (f, g))
@@ -535,7 +545,7 @@ def leibniz_product_verify(
 
     evaluated at x0.  No hypothesis beyond the expression domains.
     """
-    _check_sizes(n)
+    _check_sizes(n, tol=tol)
     params = _params(n=n, f=f, g=g, x0=x0)
     x0, mode = _mode_for(x0, (f, g), (rhs_shift,))
     (cf, df), (cg, dg) = (eval_jet(e, x0, n).cleared() for e in (f, g))
@@ -579,7 +589,7 @@ def _family_check(
     E(Z / q, s) = entry(Z, s, q) / entry_den(s, q); ``rhs(factors, mode)``
     returns the right-hand side and its notes, given the factors beta^n and
     c_i^(s_i) for :func:`_product`; ``extra_params`` end the report's params."""
-    r, alpha, c, s = _check_sizes(n, r, alpha=alpha, c=c, s=s)
+    r, alpha, c, s = _check_sizes(n, r, tol, alpha=alpha, c=c, s=s)
     params = _params(n=n, r=r, s=s, alpha=alpha, beta=beta, c=c, **extra_params)
     beta, mode = _mode_for(beta, (), (*alpha, *c, rhs_shift))
     c, c_den = _cleared(c, mode)
@@ -686,7 +696,7 @@ def zero_power_lemma_check(
     The report's lhs/rhs compare the order-n derivative; the lower orders
     are folded into the verdict (any nonzero one fails, with a note).
     """
-    _check_sizes(n)
+    _check_sizes(n, tol=tol)
     params = _params(f=f, n=n, x0=x0)
     x0, mode = _mode_for(x0, (f,), (rhs_shift,))
     f = eval_jet(f, x0, n).cleared()

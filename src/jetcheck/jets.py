@@ -36,10 +36,11 @@ safe to share between threads.
 The series core works on plain integer, Fraction or float coefficient lists
 and serves both jets and the verifiers: one Cauchy product
 (:func:`coefficient`), one integer-power loop (:func:`series_pow`) and one
-summation order (:func:`ordered_sum`), so float digits do not depend on the
-Python version.  Exact mode forms no product by a known one (a power starts
-from its base); float mode keeps those products, which can turn -0.0 into 0.0
-or inf into nan.
+summation rule (:func:`ordered_sum`): exact terms add with ``sum``, floats
+left to right from the integer 0, so their digits do not depend on the Python
+version; a pair of lists is float if either holds floats (g^0 is [1, 0, ...]).
+Exact mode forms no product by a known one (a power starts from its base);
+float mode keeps those products, which can turn -0.0 into 0.0 or inf into nan.
 
 Float mode skips the terms it knows are zero, bit for bit.  A sum starts
 from the integer 0, so no partial sum is -0.0 and a +-0.0 term changes
@@ -64,21 +65,25 @@ ELEMENTARY_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 
 
 def ordered_sum(terms: Iterable):
-    """Add left to right from the integer 0 (a ``reduce``, in C), as the built-in
-    ``sum`` did before Python 3.12 compensated float sums; the order fixes the rounding."""
+    """Add left to right from the integer 0 (a ``reduce``, in C), as ``sum`` did before
+    Python 3.12 compensated float sums; exact dot products, alike in any order, use ``sum``."""
     return reduce(operator.add, terms, 0)
 
 
 def coefficient(a: Sequence, b: Sequence, m: int):
     """[t^m] of the product of two coefficient lists that both reach index m,
-    summed over a[j] * b[m-j] for j = 0..m in :func:`ordered_sum`'s order."""
-    return reduce(operator.add, map(operator.mul, a, b[m::-1]), 0)
+    summed over a[j] * b[m-j] for j = 0..m by :func:`ordered_sum`'s rule."""
+    if a[0].__class__ is float or b[0].__class__ is float:
+        return reduce(operator.add, map(operator.mul, a, b[m::-1]), 0)
+    return sum(map(operator.mul, a, b[m::-1]))
 
 
 def series_mul(a: Sequence, b: Sequence) -> list:
     """The Cauchy product of two coefficient lists, truncated to the length of a;
     each entry is :func:`coefficient`'s sum, inlined.  Float lists of one length
     where one has a zero tail and the other is finite give the scaling instead."""
+    if a[0].__class__ is not float and b[0].__class__ is not float:
+        return [sum(map(operator.mul, a, b[m::-1])) for m in range(len(a))]
     if a[0].__class__ is b[0].__class__ is float and len(a) == len(b):
         for c, other in ((a, b), (b, a)):
             if not any(c[1:]) and all(map(math.isfinite, other)):

@@ -2,10 +2,13 @@
 well-typed input, returns a report or raises one of the documented errors
 (ValueError, which covers DomainError and ParseError; ModeError; and
 OverflowError).  A ZeroDivisionError, TypeError or any other exception is a
-fault."""
+fault.  An n or r that is not an int is a TypeError, and a tolerance that is
+not a finite number > 0 a ValueError, each raised before any work."""
 
+import math
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,3 +104,48 @@ def test_verifiers_return_a_report_or_raise_a_contract_error(call):
     except CONTRACT_ERRORS:
         return
     assert isinstance(report, VerificationReport) and report.identity == name
+
+
+# One valid call of each verifier, given its size n and its keywords; x0 is a
+# float, so a tolerance enters each verdict.
+_X, _X2, _HALF = Var(), PowInt(Var(), 2), Scalar.inexact(0.5)
+_C = (Scalar.exact(1), Scalar.exact(-1))
+_ONE_OF_EACH = {
+    "theorem1": lambda n, **kw: theorem1_verify(
+        TheoremInstance(n, 2, (_X, _X), (_X, Neg(_X)), (1, 1), _HALF), **kw),
+    "corollary2": lambda n, **kw: corollary2_verify(n, (_X, _X2), _X, _C, (1, 1), _HALF, **kw),
+    "symmetric_pair": lambda n, **kw: symmetric_pair_verify(n, 1, _X, _X2, _X, _HALF, **kw),
+    "baran": lambda n, **kw: baran_verify(n, _X, _X2, _HALF, **kw),
+    "leibniz_product": lambda n, **kw: leibniz_product_verify(n, _X, _X2, _HALF, **kw),
+    "power_family": lambda n, **kw: power_family_check(n, (_HALF,) * 2, _HALF, _C, (1, 1), **kw),
+    "exp_family": lambda n, **kw: exp_family_check(n, (_HALF,) * 2, _HALF, _C, (1, 1), **kw),
+    "zero_power_lemma": lambda n, **kw: zero_power_lemma_check(
+        Sub(_X, Const(_HALF)), n, _HALF, **kw),
+}
+
+
+@pytest.mark.parametrize("name", _ONE_OF_EACH)
+def test_a_tolerance_that_is_not_finite_and_positive_is_refused(name):
+    # the CLI's --tol rule; a nan or negative tol turned a true identity into a fail
+    assert _ONE_OF_EACH[name](2).verdict == "pass"
+    for tol in (math.nan, -1.0, 0.0, math.inf, -math.inf):
+        with pytest.raises(ValueError) as error:
+            _ONE_OF_EACH[name](2, tol=tol)
+        assert str(error.value) == f"tol must be a finite number > 0, got {tol!r}"
+
+
+@pytest.mark.parametrize("name", _ONE_OF_EACH)
+def test_a_size_that_is_not_an_int_is_a_type_error_naming_it(name):
+    for n, kind in ((True, "bool"), (2.0, "float"), ("2", "str")):
+        with pytest.raises(TypeError) as error:
+            _ONE_OF_EACH[name](n)
+        assert str(error.value) == f"n must be an int, got {kind}"
+
+
+@pytest.mark.parametrize("r, kind", [(True, "bool"), (2.0, "float")])
+def test_an_r_that_is_not_an_int_is_a_type_error_naming_it(r, kind):
+    for make in (lambda: TheoremInstance(2, r, (_X, _X), (_X, Neg(_X)), (1, 1), _HALF),
+                 lambda: power_family_check(2, (_HALF,) * 2, _HALF, _C, (1, 1), r=r)):
+        with pytest.raises(TypeError) as error:
+            make()
+        assert str(error.value) == f"r must be an int, got {kind}"
