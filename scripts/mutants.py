@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 JETS, IDENTITIES = "src/jetcheck/jets.py", "src/jetcheck/identities.py"
 EXPRS, NUMERIC = "src/jetcheck/exprs.py", "src/jetcheck/numeric.py"
 CLI, PARSING = "src/jetcheck/cli.py", "src/jetcheck/parsing.py"
+ORACLES = "tests/oracles.py"
 DIVISION_GRID = "tests/test_jets.py::test_division_and_number_operands_keep_their_bits"
 
 # name: (file, old text, new text, the test that kills the mutant)
@@ -69,7 +70,7 @@ MUTANTS = {
         "tests/test_kernel.py::test_entry_n_kernel_equals_the_composition_reference"),
     # a tolerance checked for its sign only, so tol = inf makes every float check pass
     "tolerance_finite": (
-        IDENTITIES, "if not (math.isfinite(tol) and tol > 0):", "if not tol > 0:",
+        IDENTITIES, "if not 0 < tol <= sys.float_info.max:", "if not 0 < tol:",
         "tests/test_error_contract.py::"
         "test_a_tolerance_that_is_not_finite_and_positive_is_refused[baran]"),
     # float series_pow without the product by the unit
@@ -88,7 +89,7 @@ MUTANTS = {
     # a node's children taken from its first field only: a function node then
     # has none, and a binary node only its left operand
     "height_first_field": (
-        EXPRS, "for c in node.__getstate__() if", "for c in node.__getstate__()[:1] if",
+        ORACLES, "for c in node.__getstate__() if", "for c in node.__getstate__()[:1] if",
         "tests/test_expr_nodes.py::test_heights_equal_the_recursive_height"),
     # a subcommand found by prefix, so that "ver" runs verify's parser
     "dispatch_by_prefix": (
@@ -132,6 +133,26 @@ MUTANTS = {
     "mode_for_trees": (
         EXPRS, "    for e in exprs:\n        lift = lift or contains_float(e)\n", "",
         "tests/test_exprs.py::test_nth_derivative_takes_its_mode_from_the_given_tree"),
+    # a point that is not a Scalar read for its mode, which fails on its attribute
+    "scalar_point_check": (
+        EXPRS, "    if not isinstance(x0, Scalar):\n        raise TypeError(", "    if False:\n        raise TypeError(",
+        "tests/test_error_contract.py::"
+        "test_an_input_that_is_not_a_scalar_is_a_type_error_naming_it[theorem1]"),
+    # a bool tolerance taken as the int it is
+    "tolerance_bool": (
+        IDENTITIES, "if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)):",
+        "if not isinstance(tol, (int, float, Fraction)):",
+        "tests/test_error_contract.py::"
+        "test_a_tolerance_that_is_not_a_real_number_is_a_type_error_naming_it[baran]"),
+    # a product beyond the float range that names no side
+    "product_names_its_side": (
+        IDENTITIES, "raise _beyond_floats(side) from None", "raise",
+        "tests/test_cli.py::test_every_float_overflow_names_what_overflowed[product_rhs]"),
+    # a sweep degree bound that lets a polynomial outgrow the parser's height bound
+    "sweep_degree_limit": (
+        IDENTITIES, '"degree_bound": 20}', '"degree_bound": 2000}',
+        "tests/test_identities.py::TestSweep::"
+        "test_trees_drawn_at_every_limit_stay_within_the_parser_bound"),
     # a constant's precedence read from its value, so -0.0 prints unparenthesized
     # as a power's base and reads back as a negated power
     "txt_negative_zero": (

@@ -2,8 +2,9 @@
 
 The package evaluates both sides of a family of higher-order derivative
 identities for user-supplied functions, orders, and points, using exact
-rational truncated-Taylor (jet) arithmetic, cross-checked against an
-independent symbolic-differentiation route.
+rational truncated-Taylor (jet) arithmetic.  The test suite cross-checks the
+jets against an independent symbolic-differentiation route
+(``tests/oracles.py``).
 """
 
 from .numeric import (
@@ -29,10 +30,8 @@ from .exprs import (
     Sub,
     Var,
     X,
-    diff,
     eval_jet,
     eval_scalar,
-    nth_derivative,
     to_text,
 )
 from .parsing import ParseError, parse
@@ -60,9 +59,9 @@ __all__ = [
     "Jet", "ModeError", "Mul", "MultiIndex", "Neg", "ParseError", "PowInt",
     "PowReal", "Scalar", "Sub", "SweepConfig", "SweepSummary",
     "TheoremInstance", "Var", "VerificationReport", "X",
-    "baran_verify", "compositions", "corollary2_verify", "diff",
-    "eval_jet", "eval_scalar", "exp_family_check", "generalized_binomial",
-    "leibniz_product_verify", "multinomial", "nth_derivative", "parse",
+    "baran_verify", "compositions", "corollary2_verify", "eval_jet",
+    "eval_scalar", "exp_family_check", "generalized_binomial",
+    "leibniz_product_verify", "multinomial", "parse",
     "power_family_check", "sweep", "symmetric_pair_verify",
     "theorem1_verify", "to_text", "zero_power_lemma_check",
 ]

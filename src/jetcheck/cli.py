@@ -516,8 +516,7 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
         stderr.write(f"error: {err}\n")
         return 2
     except OverflowError as err:
-        # float ** reports (errno, text); the text alone is the message
-        stderr.write(f"error: numeric overflow: {err.args[-1] if len(err.args) == 2 else err}\n")
+        stderr.write(f"error: numeric overflow: {err}\n")
         return 2
     except BrokenPipeError:
         raise  # a closed stdout, which main() reports by its exit code

@@ -2,15 +2,10 @@
 
 An :data:`Expr` is an immutable tree over the single variable ``x`` with
 rational or float constants, the four arithmetic operations, integer and real
-powers, and the elementary functions exp, log, sin, cos, sqrt.  Three
+powers, and the elementary functions exp, log, sin, cos, sqrt.  Two
 consumers share the representation:
 
-* :func:`diff` - symbolic differentiation with light simplification
-  (constant folding and 0/1 absorption, nothing fancier, so the rules stay
-  auditable);
-* :func:`eval_scalar` / :func:`nth_derivative` - plain evaluation and the
-  brute-force derivative route (differentiate k times symbolically, then
-  evaluate), used as the independent cross-check for the jet engine;
+* :func:`eval_scalar` - plain evaluation at a point;
 * :func:`eval_jet` - evaluation into truncated Taylor series.
 
 A single decimal constant anywhere in a tree marks the whole evaluation as
@@ -19,13 +14,13 @@ The first half of the rule is stated at construction: every node records in
 ``has_float`` whether a float literal lies at or below it, so a tree is never
 walked for its mode.  :func:`_mode_for`, the one statement of the whole rule,
 reads it from each evaluation's own inputs.  An exponent with an integer
-value, exact or float, is an integer power to the jets and the oracle alike.
-Exact mode refuses transcendental nodes with a ModeError rather than returning
-a rounded value.  Constant folding (:func:`constant_value`, used by the parser
-and by :func:`diff`'s constructors) is the evaluator run without a point, so a
-constant folds to the value the same text evaluates to anywhere else.
+value, exact or float, is an integer power to the jets and the scalar
+evaluator alike.  Exact mode refuses transcendental nodes with a ModeError
+rather than returning a rounded value.  Constant folding
+(:func:`constant_value`, used by the parser and by the smart constructors)
+is the evaluator run without a point, so a constant folds to the value the
+same text evaluates to anywhere else.
 """
-
 from __future__ import annotations
 
 import math
@@ -37,12 +32,8 @@ from .jets import ELEMENTARY_FUNCTIONS, Jet
 from .numeric import DomainError, ModeError, Scalar, integer_value
 
 # The recursive walks below take one frame per tree level, so trees are
-# bounded in height where they are built: the parser's at MAX_HEIGHT, and a
-# derivative that nth_derivative evaluates at MAX_DERIVATIVE_HEIGHT.  diff
-# adds at most three levels per level, so every first derivative of a parsed
-# tree is within the second bound.
+# bounded in height where they are built: the parser's at MAX_HEIGHT.
 MAX_HEIGHT = 200
-MAX_DERIVATIVE_HEIGHT = 3 * MAX_HEIGHT
 
 _set = object.__setattr__  # how a node's own __init__ sets its slots
 
@@ -170,9 +161,9 @@ def _is_exact_value(e: Expr, v: int) -> bool:
     return isinstance(e, Const) and e.value.is_exact and e.value == v
 
 
-# Smart constructors used by diff().  They perform exactly the advertised
-# light simplification; the parser builds raw nodes instead so parse trees
-# mirror the input.
+# Smart constructors, used by the sweep's generators: they fold constants and
+# absorb 0 and 1, nothing more; the parser builds raw nodes instead so parse
+# trees mirror the input.
 
 def neg(e: Expr) -> Expr:
     if isinstance(e, Const):
@@ -217,18 +208,6 @@ def mul(a: Expr, b: Expr) -> Expr:
     return Mul(a, b)
 
 
-def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = constant_value(Div(a, b))  # None for a zero divisor
-        if folded is not None:
-            return Const(folded)
-    if _is_exact_value(b, 1):
-        return a
-    if _is_exact_value(a, 0):
-        return a
-    return Div(a, b)
-
-
 def pow_int(e: Expr, m: int) -> Expr:
     if m == 1:
         return e
@@ -239,68 +218,6 @@ def pow_int(e: Expr, m: int) -> Expr:
     if isinstance(e, PowInt):
         return pow_int(e.base, e.exponent * m)
     return PowInt(e, m)
-
-
-def pow_real(e: Expr, alpha: Scalar) -> Expr:
-    if alpha.is_exact and alpha.value.denominator == 1:
-        return pow_int(e, int(alpha.value))
-    return PowReal(e, alpha)
-
-
-def diff(e: Expr) -> Expr:
-    """Symbolic derivative with respect to x."""
-    return _diff(e, {})
-
-
-def _diff(e: Expr, memo: dict[int, Expr]) -> Expr:
-    # Derivative trees share subtrees by reference; memoizing on object
-    # identity keeps repeated differentiation polynomial instead of
-    # exponential in the order.
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit
-    if isinstance(e, Const):
-        out: Expr = Const(e.value * 0)
-    elif isinstance(e, Var):
-        out = const(1)
-    elif isinstance(e, Neg):
-        out = neg(_diff(e.arg, memo))
-    elif isinstance(e, Add):
-        out = add(_diff(e.left, memo), _diff(e.right, memo))
-    elif isinstance(e, Sub):
-        out = sub(_diff(e.left, memo), _diff(e.right, memo))
-    elif isinstance(e, (Mul, Div)):
-        terms = mul(_diff(e.left, memo), e.right), mul(e.left, _diff(e.right, memo))
-        out = add(*terms) if isinstance(e, Mul) else div(sub(*terms), pow_int(e.right, 2))
-    elif isinstance(e, PowInt):
-        if e.exponent == 0:
-            out = const(0)
-        else:
-            out = mul(
-                const(e.exponent),
-                mul(pow_int(e.base, e.exponent - 1), _diff(e.base, memo)),
-            )
-    elif isinstance(e, PowReal):
-        out = mul(
-            Const(e.exponent),
-            mul(pow_real(e.base, e.exponent - 1), _diff(e.base, memo)),
-        )
-    elif isinstance(e, Apply):
-        inner = _diff(e.arg, memo)
-        if e.fn == "exp":
-            out = mul(Apply("exp", e.arg), inner)
-        elif e.fn == "log":
-            out = div(inner, e.arg)
-        elif e.fn == "sin":
-            out = mul(Apply("cos", e.arg), inner)
-        elif e.fn == "cos":
-            out = neg(mul(Apply("sin", e.arg), inner))
-        else:
-            out = div(inner, mul(const(2), Apply("sqrt", e.arg)))
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    memo[id(e)] = out
-    return out
 
 
 def contains_float(e: Expr) -> bool:
@@ -316,15 +233,23 @@ class _NoPoint(Exception):
     """Evaluation without a point met x, a function or a real power."""
 
 
-def _mode_for(
-    x0: Scalar, exprs: Sequence[Expr], scalars: Sequence[Scalar | None] = (),
-) -> tuple[Scalar, str]:
+def _mode_for(x0: Scalar, exprs: Sequence[Expr], **scalars) -> tuple[Scalar, str]:
     """Evaluation point and ambient mode: float as soon as any input is, a
-    decimal literal in a tree or an rhs shift included; a None scalar (no
-    shift) is skipped.  Plain loops, no generators: every evaluation calls it."""
-    lift = not x0.is_exact
-    for s in scalars:
-        lift = lift or (s is not None and not s.is_exact)
+    decimal literal in a tree or an rhs shift included.  ``scalars`` are the
+    other scalar inputs by name: a Scalar, a tuple of them, or a None
+    rhs_shift.  An input that is not a Scalar is a TypeError naming it, the
+    named ones first (the binomial families name their point, beta).  Plain
+    loops, no generators: every evaluation calls it."""
+    lift = False
+    for name, value in scalars.items():
+        for i, s in enumerate(value if value.__class__ is tuple else (value,)):
+            if not isinstance(s, Scalar) and (s is not None or name != "rhs_shift"):
+                name = f"{name}[{i}]" if value.__class__ is tuple else name
+                raise TypeError(f"{name} must be a Scalar, got {type(s).__name__}")
+            lift = lift or (s is not None and not s.is_exact)
+    if not isinstance(x0, Scalar):
+        raise TypeError(f"x0 must be a Scalar, got {type(x0).__name__}")
+    lift = lift or not x0.is_exact
     for e in exprs:
         lift = lift or contains_float(e)
     return (x0.to_float(), "float") if lift else (x0, "exact")
@@ -479,48 +404,6 @@ def _jet(node: Expr, seed: Jet) -> Jet | Fraction:
 def _lifted(value: Jet | Fraction, seed: Jet) -> Jet:
     """``value`` as a jet of the seed's order: a Fraction becomes its constant jet."""
     return Jet._line(value, 0, seed.order) if value.__class__ is Fraction else value
-
-
-def nth_derivative(e: Expr, k: int, x0: Scalar) -> Scalar:
-    """k-fold symbolic derivative evaluated at x0.
-
-    This is the brute-force route: repeated :func:`diff` followed by plain
-    evaluation, involving no jet machinery at all, which makes it a fully
-    independent cross-check for the jet engine.  The mode is chosen on ``e``,
-    as :func:`eval_jet` chooses it, since a derivative can drop a decimal.
-    A derivative more than MAX_DERIVATIVE_HEIGHT levels high is a
-    DomainError naming its order and its height.
-    """
-    if k < 0:
-        raise DomainError(f"derivative order must be non-negative, got {k}")
-    x0, mode = _mode_for(x0, (e,))
-    d, heights = e, {}
-    trees = []  # every tree measured so far, so that no id in ``heights`` is reused
-    for order in range(1, k + 1):
-        d = diff(d)
-        trees.append(d)
-        height = _height(d, heights)
-        if height > MAX_DERIVATIVE_HEIGHT:
-            raise DomainError(f"the derivative of order {order} is {height} levels high, "
-                              f"more than the {MAX_DERIVATIVE_HEIGHT} that can be evaluated")
-    return Scalar(_eval(d, x0.value, mode == "float", {}))
-
-
-def _height(e: Expr, heights: dict[int, int]) -> int:
-    """Levels from ``e`` down to its deepest leaf, by an explicit stack and
-    memoized in ``heights`` on node identity, since derivatives share their
-    subtrees."""
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        children = [c for c in node.__getstate__() if isinstance(c, Expr)]
-        pending = [c for c in children if id(c) not in heights]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        heights[id(node)] = 1 + max((heights[id(c)] for c in children), default=0)
-    return heights[id(e)]
 
 
 # Precedence levels for printing: addition 1, multiplication 2, unary minus 3,

@@ -71,6 +71,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -179,7 +180,8 @@ class TheoremInstance:
 def _check_sizes(n: int, r: int | None = None, tol: float = DEFAULT_TOL, **lists: Sequence) -> tuple:
     """Reject the sizes an identity asserts nothing about: n < 0, r < 1, a
     list (f, g, c, alpha or s) whose length is not r, and |s| > n; an n or r
-    that is not an int (a bool neither), and a tol that is not finite and > 0.
+    that is not an int, and a tol that is not a real number (a bool is
+    neither) or not a finite float > 0.
 
     Returns r, by default the length of the first list, then every list as a
     tuple, s as a :class:`MultiIndex`."""
@@ -191,7 +193,9 @@ def _check_sizes(n: int, r: int | None = None, tol: float = DEFAULT_TOL, **lists
             raise TypeError(f"{name} must be an int, got {type(size).__name__}")
         if size < least:
             raise ValueError(f"{name} must be {word}, got {size}")
-    if not (math.isfinite(tol) and tol > 0):
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)):
+        raise TypeError(f"tol must be a real number, got {type(tol).__name__}")
+    if not 0 < tol <= sys.float_info.max:
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     if any(len(v) != r for v in lists.values()):
         raise ValueError(
@@ -217,12 +221,13 @@ def _text(value) -> str:
     return Scalar(value).as_text()
 
 
-def _product(weight: int | Fraction, factors: Iterable[tuple], mode: str):
+def _product(weight: int | Fraction, factors: Iterable[tuple], mode: str, side: str = "rhs"):
     """weight * prod((base / d) ** exponent for base, d, exponent in factors),
     formed exactly and, in float mode, rounded once: no partial product, such
     as n! alone, has to fit in a float.  A non-finite float factor (inf or
-    nan) raises OverflowError.  Bases are ints, Fractions or floats, d a
-    positive integer (a cleared jet's denominator, or 1) and exponents
+    nan), or a product beyond the float range, raises OverflowError, the
+    latter naming the ``side`` it forms.  Bases are ints, Fractions or floats, d
+    a positive integer (a cleared jet's denominator, or 1) and exponents
     non-negative; the product runs on integer numerators and denominators,
     reduced once at the end."""
     num, den = weight.numerator, weight.denominator
@@ -233,7 +238,25 @@ def _product(weight: int | Fraction, factors: Iterable[tuple], mode: str):
         num *= p ** exponent
         den *= (q * d) ** exponent
     total = Fraction(num, den)
-    return total if mode == "exact" else float(total)
+    if mode == "exact":
+        return total
+    try:
+        return float(total)
+    except OverflowError:
+        raise _beyond_floats(side) from None
+
+
+def _beyond_floats(side: str) -> OverflowError:
+    """The error for a side whose forming overflowed (:func:`_finish` names one that is inf or nan)."""
+    return OverflowError(f"the {side} is beyond the float range")
+
+
+def _lhs(tables: Callable[[], Iterable], n: int, mode: str) -> tuple:
+    """:func:`_convolve` of the tables ``tables()`` builds; an OverflowError in either names the lhs."""
+    try:
+        return _convolve(list(tables()), n, mode)
+    except OverflowError:
+        raise _beyond_floats("lhs") from None
 
 
 def _verdict_for(residual, scale, mode: str, tol: float) -> str:
@@ -416,7 +439,7 @@ def theorem1_verify(
     n, r, s = inst.n, inst.r, inst.s
     _check_sizes(n, r, tol)
     params = _params(n=n, r=r, s=s, f=inst.f, g=inst.g, x0=inst.x0)
-    x0, mode = _mode_for(inst.x0, inst.f + inst.g, (rhs_shift,))
+    x0, mode = _mode_for(inst.x0, inst.f + inst.g, rhs_shift=rhs_shift)
     f = [eval_jet(e, x0, si).cleared() for e, si in zip(inst.f, s)]
     g = [eval_jet(e, x0, si).cleared() for e, si in zip(inst.g, s)]
 
@@ -425,8 +448,8 @@ def theorem1_verify(
     if note is not None:
         return _report("theorem1", params, mode, tol, "precondition_violated", (note,))
 
-    tables = [_derivative_table(fi, _powers(cg, n), dg, si) for fi, (cg, dg), si in zip(f, g, s)]
-    lhs, scale = _convolve(tables, n, mode)
+    lhs, scale = _lhs(lambda: [_derivative_table(fi, _powers(cg, n), dg, si)
+                               for fi, (cg, dg), si in zip(f, g, s)], n, mode)
     rhs = _collapse_rhs(n, s, f, [_at(gi, 1, si) for gi, si in zip(g, s)], mode)
     return _finish("theorem1", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
@@ -443,7 +466,7 @@ def _corollary2_core(
     tol: float,
     rhs_shift: Scalar | None,
 ) -> VerificationReport:
-    x0, mode = _mode_for(x0, tuple(f) + (g,), (*c, rhs_shift))
+    x0, mode = _mode_for(x0, tuple(f) + (g,), c=c, rhs_shift=rhs_shift)
     c, c_den = _cleared(c, mode)
     note = _hypothesis_note("sum of c", c, c_den, mode)
     if note is not None:
@@ -452,8 +475,8 @@ def _corollary2_core(
     f = [eval_jet(e, x0, si).cleared() for e, si in zip(f, s)]
     g = eval_jet(g, x0, max(s)).cleared()
     g_powers, e = _powers(g[0], n), g[1] * c_den
-    tables = [_derivative_table(fi, g_powers, e, si, ci) for fi, ci, si in zip(f, c, s)]
-    lhs, scale = _convolve(tables, n, mode)
+    lhs, scale = _lhs(lambda: [_derivative_table(fi, g_powers, e, si, ci)
+                               for fi, ci, si in zip(f, c, s)], n, mode)
     # g_i = c_i g, so g_i'^(s_i) = c_i^(s_i) g'^(s_i).
     slopes = [(ci, c_den, si) for ci, si in zip(c, s)] + [_at(g, 1, s.weight)]
     rhs = _collapse_rhs(n, s, f, slopes, mode)
@@ -518,14 +541,12 @@ def baran_verify(
     """
     _check_sizes(n, tol=tol)
     params = _params(n=n, f=f, g=g, x0=x0)
-    x0, mode = _mode_for(x0, (f, g), (rhs_shift,))
+    x0, mode = _mode_for(x0, (f, g), rhs_shift=rhs_shift)
     f, g = (eval_jet(e, x0, n).cleared() for e in (f, g))
     # The 1/n! cancels the n! of the n-th derivative, leaving [t^n](f g^j).
     (cf, df), (cg, dg) = f, g
-    lhs, scale = _convolve(
-        [([(-cg[0]) ** k for k in range(n + 1)], 1, dg),
-         ([coefficient(cf, p, n) for p in _powers(cg, n)], df, dg)], n, mode
-    )
+    lhs, scale = _lhs(lambda: [([(-cg[0]) ** k for k in range(n + 1)], 1, dg),
+                               ([coefficient(cf, p, n) for p in _powers(cg, n)], df, dg)], n, mode)
     rhs = _product(1, [_at(f, 0), _at(g, 1, n)], mode)
     return _finish("baran", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
 
@@ -547,15 +568,13 @@ def leibniz_product_verify(
     """
     _check_sizes(n, tol=tol)
     params = _params(n=n, f=f, g=g, x0=x0)
-    x0, mode = _mode_for(x0, (f, g), (rhs_shift,))
+    x0, mode = _mode_for(x0, (f, g), rhs_shift=rhs_shift)
     (cf, df), (cg, dg) = (eval_jet(e, x0, n).cleared() for e in (f, g))
     # x = (p + q t) / q; the outer factor x0 = p / q goes into the first table.
     x, q = Jet.variable(x0, n).cleared()
     p = x[0]
-    lhs, scale = _convolve(
-        [([p * v for v in _monomial_table(cf, p, q)], q * df, q),
-         (_monomial_table(cg, p, q), dg, q)], n, mode
-    )
+    lhs, scale = _lhs(lambda: [([p * v for v in _monomial_table(cf, p, q)], q * df, q),
+                               (_monomial_table(cg, p, q), dg, q)], n, mode)
     top = coefficient(series_mul(series_pow(x, n + 1), cf), cg, n)
     rhs = _product(Fraction(math.factorial(n), q ** (n + 1) * df * dg), [(top, 1, 1)], mode)
     return _finish("leibniz_product", params, mode, lhs, rhs, scale, tol, (), rhs_shift)
@@ -591,7 +610,7 @@ def _family_check(
     c_i^(s_i) for :func:`_product`; ``extra_params`` end the report's params."""
     r, alpha, c, s = _check_sizes(n, r, tol, alpha=alpha, c=c, s=s)
     params = _params(n=n, r=r, s=s, alpha=alpha, beta=beta, c=c, **extra_params)
-    beta, mode = _mode_for(beta, (), (*alpha, *c, rhs_shift))
+    beta, mode = _mode_for(beta, (), beta=beta, alpha=alpha, c=c, rhs_shift=rhs_shift)
     c, c_den = _cleared(c, mode)
     note = _hypothesis_note("sum of c", c, c_den, mode)
     if note is None and s.weight != n:
@@ -600,13 +619,15 @@ def _family_check(
         return _report(identity, params, mode, tol, "precondition_violated", (note,))
 
     (*a, b), q = _cleared([*alpha, beta], mode)
-    tables = []
-    for ai, ci, si in zip(a, c, s):
-        den, values = entry_den(si, q), [entry(ai + k * b, si, q) for k in range(n + 1)]
-        if mode == "float":  # float tables are over 1: each entry is divided first
-            values, den = [v / den for v in values], 1
-        tables.append(([ci ** k * v for k, v in enumerate(values)], den, c_den))
-    lhs, scale = _convolve(tables, n, mode)
+
+    def tables():
+        for ai, ci, si in zip(a, c, s):
+            den, values = entry_den(si, q), [entry(ai + k * b, si, q) for k in range(n + 1)]
+            if mode == "float":  # float tables are over 1: each entry is divided first
+                values, den = [v / den for v in values], 1
+            yield [ci ** k * v for k, v in enumerate(values)], den, c_den
+
+    lhs, scale = _lhs(tables, n, mode)
     value, notes = rhs([(b, q, n), *[(ci, c_den, si) for ci, si in zip(c, s)]], mode)
     return _finish(identity, params, mode, lhs, value, scale, tol, notes, rhs_shift)
 
@@ -698,13 +719,13 @@ def zero_power_lemma_check(
     """
     _check_sizes(n, tol=tol)
     params = _params(f=f, n=n, x0=x0)
-    x0, mode = _mode_for(x0, (f,), (rhs_shift,))
+    x0, mode = _mode_for(x0, (f,), rhs_shift=rhs_shift)
     f = eval_jet(f, x0, n).cleared()
     note = _hypothesis_note("f(x0)", f[0][:1], f[1], mode)
     if note is not None:
         return _report("zero_power_lemma", params, mode, tol, "precondition_violated", (note,))
 
-    *lows, lhs = [_product(Fraction(math.factorial(k), f[1] ** n), [(v, 1, 1)], mode)
+    *lows, lhs = [_product(Fraction(math.factorial(k), f[1] ** n), [(v, 1, 1)], mode, "lhs")
                   for k, v in enumerate(series_pow(f[0], n))]
     scale = ordered_sum(map(abs, [lhs, *lows]))
     rhs = _product(math.factorial(n), [_at(f, 1, n)], mode)
@@ -724,6 +745,12 @@ def zero_power_lemma_check(
 # Randomized sweeps ---------------------------------------------------------
 
 
+# The largest sizes a sweep draws from: at all four a trial's trees are at most 32
+# levels high (MAX_HEIGHT is 200), and the slowest of 64 trials took about 0.25 s
+# on a 2-vCPU VM under Python 3.11; a degree bound of 180 alone made it 40 s.
+SWEEP_LIMITS = {"max_n": 100, "max_r": 10, "coeff_bound": 20, "degree_bound": 20}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Configuration for a seeded randomized sweep.
@@ -731,7 +758,8 @@ class SweepConfig:
     Instances are generated so the checked identity's hypothesis holds by
     construction (e.g. the last g is the negated sum of the others); with
     ``negative`` set, the hypothesis is deliberately broken by adding 1, so
-    every trial must come back ``precondition_violated``.
+    every trial must come back ``precondition_violated``.  A size above its
+    entry in :data:`SWEEP_LIMITS` is a ValueError.
     """
 
     seed: int = 0
@@ -751,6 +779,9 @@ class SweepConfig:
             raise ValueError("need max_n >= 0 and max_r >= 2")
         if self.coeff_bound < 1 or self.degree_bound < 0:
             raise ValueError("need coeff_bound >= 1 and degree_bound >= 0")
+        for name, limit in SWEEP_LIMITS.items():
+            if getattr(self, name) > limit:
+                raise ValueError(f"{name} must be at most {limit}, got {getattr(self, name)}")
         if not self.identities:
             raise ValueError("identity set must not be empty")
         for name in self.identities:

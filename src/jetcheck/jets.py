@@ -466,5 +466,8 @@ class Jet:
         for n in range(len(p), len(a)):
             terms = (u[k] * p[n - k] * ((al + 1.0) * k - n) for k in range(1, n + 1))
             p.append(ordered_sum(terms) / n)
-        lead = math.pow(a[0], al)
+        try:
+            lead = math.pow(a[0], al)
+        except OverflowError:
+            raise DomainError("real power overflow at the expansion point") from None
         return Jet._of([lead * pk for pk in p], None)

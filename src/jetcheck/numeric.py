@@ -106,7 +106,7 @@ class Scalar:
 
     def to_float(self) -> Scalar:
         """Explicit exact -> float conversion (identity on float scalars)."""
-        return self if not self.is_exact else Scalar(float(self.value))
+        return self if not self.is_exact else Scalar(float(self))
 
     def _lift(self, other: object) -> "Scalar | None":
         """Bring ``other`` into this scalar's mode, or None if unsupported."""
@@ -151,7 +151,13 @@ class Scalar:
     __ge__ = _comparison(operator.ge)
 
     def __float__(self) -> float:
-        return float(self.value)
+        """The value as a float; an exact one beyond the float range is an OverflowError naming it."""
+        try:
+            return float(self.value)
+        except OverflowError:
+            text = self.as_text()
+            text = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+            raise OverflowError(f"the exact value {text} is beyond the float range") from None
 
     def __repr__(self) -> str:
         return f"Scalar({self.value!r})"

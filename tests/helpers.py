@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 
-from jetcheck import Jet, Scalar, TheoremInstance, eval_jet, nth_derivative
+from jetcheck import Jet, Scalar, TheoremInstance, eval_jet
 from jetcheck.exprs import (
     Add,
     Apply,
@@ -44,6 +44,7 @@ from jetcheck.numeric import (
     multinomial,
 )
 from jetcheck.parsing import parse
+from oracles import nth_derivative
 
 TRANSCENDENTALS = ("exp", "log", "sin", "cos", "sqrt")
 
@@ -196,7 +197,7 @@ def reference_theorem1(inst):
 
 
 def reference_corollary2(n, f, g, c, s, x0):
-    x0, mode = _mode_for(x0, tuple(f) + (g,), tuple(c))
+    x0, mode = _mode_for(x0, tuple(f) + (g,), c=tuple(c))
     c = [_lift(ci, mode) for ci in c]
     fj = [eval_jet(e, x0, n) for e in f]
     gj = eval_jet(g, x0, n)
@@ -232,7 +233,7 @@ def reference_leibniz_product(n, f, g, x0):
 
 
 def _family_inputs(alpha, beta, c):
-    beta, mode = _mode_for(beta, (), tuple(alpha) + tuple(c))
+    beta, mode = _mode_for(beta, (), alpha=tuple(alpha), c=tuple(c))
     return mode, [_lift(a, mode) for a in alpha], beta, [_lift(ci, mode) for ci in c]
 
 
@@ -364,7 +365,12 @@ def reference_product(weight, factors, mode: str):
         if isinstance(base, float) and not math.isfinite(base):
             raise OverflowError(f"a factor is {base!r}, not a finite number")
         total *= (Fraction(base) / d) ** exponent
-    return total if mode == "exact" else float(total)
+    if mode == "exact":
+        return total
+    try:
+        return float(total)
+    except OverflowError:  # a rhs, as identities._product names it by default
+        raise OverflowError("the rhs is beyond the float range") from None
 
 
 # Full-loop references for float coefficient lists: the series products, the

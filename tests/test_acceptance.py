@@ -28,7 +28,6 @@ from jetcheck import (
     eval_jet,
     eval_scalar,
     leibniz_product_verify,
-    nth_derivative,
     theorem1_verify,
     to_text,
     zero_power_lemma_check,
@@ -37,6 +36,7 @@ from jetcheck.cli import run
 from jetcheck.exprs import add, const, neg, sub
 from jetcheck.identities import SweepConfig, compositions, sweep
 from jetcheck.parsing import parse
+from oracles import nth_derivative
 
 
 @contextmanager

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from jetcheck.cli import run
 from jetcheck.parsing import MAX_NESTING
+from test_output_corpus import OVERFLOWS
 
 EXPECTED_KEYS = [
     "identity", "params", "mode", "lhs", "rhs", "residual",
@@ -605,11 +606,17 @@ def test_an_exponent_that_overflows_is_a_parse_error_of_its_flag(f):
                    "within the float range, found one that overflows\n")
 
 
-def test_overflow_prints_the_text_of_an_errno_pair():
-    code, out, err = invoke("verify", "baran", "--n", "3", "--f", "exp(x)", "--g", "exp(x)",
-                            "--at", "700.0")
-    assert code == 2 and out == ""
-    assert err == "error: numeric overflow: Numerical result out of range\n"
+@pytest.mark.parametrize("site", OVERFLOWS)
+def test_every_float_overflow_names_what_overflowed(site):
+    # the overflows of float powers printed the bare "Numerical result out of range"
+    argv, message = OVERFLOWS[site]
+    assert invoke(*argv) == (2, "", message)
+
+
+def test_a_sweep_size_above_its_limit_is_a_usage_error():
+    # a degree bound of 1500 drew a polynomial too high for the recursive walks
+    code, out, err = invoke("sweep", "--degree-bound", "1500", "--trials", "8", "--max-n", "3")
+    assert (code, out, err) == (2, "", "error: degree_bound must be at most 20, got 1500\n")
 
 
 def test_any_other_exception_is_one_error_line(monkeypatch):

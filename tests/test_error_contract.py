@@ -2,17 +2,22 @@
 well-typed input, returns a report or raises one of the documented errors
 (ValueError, which covers DomainError and ParseError; ModeError; and
 OverflowError).  A ZeroDivisionError, TypeError or any other exception is a
-fault.  An n or r that is not an int is a TypeError, and a tolerance that is
-not a finite number > 0 a ValueError, each raised before any work."""
+fault.  An n or r that is not an int, a tolerance that is not a real number
+and a point or scalar input that is not a Scalar are each a TypeError that
+names the input, and a tolerance that is not a finite number > 0 a
+ValueError, each raised before any work."""
 
 import math
+from fractions import Fraction
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetcheck.exprs import Add, Apply, Const, Div, Mul, Neg, PowInt, PowReal, Sub, Var
+from jetcheck.exprs import (
+    Add, Apply, Const, Div, Mul, Neg, PowInt, PowReal, Sub, Var, eval_jet, eval_scalar,
+)
 from jetcheck.identities import (
     TheoremInstance,
     VerificationReport,
@@ -128,10 +133,19 @@ _ONE_OF_EACH = {
 def test_a_tolerance_that_is_not_finite_and_positive_is_refused(name):
     # the CLI's --tol rule; a nan or negative tol turned a true identity into a fail
     assert _ONE_OF_EACH[name](2).verdict == "pass"
-    for tol in (math.nan, -1.0, 0.0, math.inf, -math.inf):
+    for tol in (math.nan, -1.0, 0.0, math.inf, -math.inf, 10 ** 400):
         with pytest.raises(ValueError) as error:
             _ONE_OF_EACH[name](2, tol=tol)
         assert str(error.value) == f"tol must be a finite number > 0, got {tol!r}"
+
+
+@pytest.mark.parametrize("name", _ONE_OF_EACH)
+def test_a_tolerance_that_is_not_a_real_number_is_a_type_error_naming_it(name):
+    # True ran as tol = 1, and "1" failed inside float arithmetic
+    for tol, kind in ((True, "bool"), ("1", "str"), (None, "NoneType")):
+        with pytest.raises(TypeError) as error:
+            _ONE_OF_EACH[name](2, tol=tol)
+        assert str(error.value) == f"tol must be a real number, got {kind}"
 
 
 @pytest.mark.parametrize("name", _ONE_OF_EACH)
@@ -149,3 +163,36 @@ def test_an_r_that_is_not_an_int_is_a_type_error_naming_it(r, kind):
         with pytest.raises(TypeError) as error:
             make()
         assert str(error.value) == f"r must be an int, got {kind}"
+
+
+# One call of each verifier with one input that is not a Scalar, and the name
+# its TypeError gives that input; each failed with an AttributeError inside.
+_NOT_SCALARS = {
+    "theorem1": (lambda: theorem1_verify(
+        TheoremInstance(2, 2, (_X, _X), (_X, Neg(_X)), (1, 1), 3)), "x0", "int"),
+    "corollary2": (lambda: corollary2_verify(
+        2, (_X, _X2), _X, (_C[0], -1), (1, 1), _HALF), "c[1]", "int"),
+    "symmetric_pair": (lambda: symmetric_pair_verify(2, 1, _X, _X2, _X, 0.5), "x0", "float"),
+    "baran": (lambda: baran_verify(2, _X, _X2, _HALF, rhs_shift=0.5), "rhs_shift", "float"),
+    "leibniz_product": (lambda: leibniz_product_verify(2, _X, _X2, None), "x0", "NoneType"),
+    "power_family": (lambda: power_family_check(
+        2, (_HALF, Fraction(1, 2)), _HALF, _C, (1, 1)), "alpha[1]", "Fraction"),
+    "exp_family": (lambda: exp_family_check(2, (_HALF,) * 2, 0.5, _C, (1, 1)), "beta", "float"),
+    "zero_power_lemma": (lambda: zero_power_lemma_check(
+        Sub(_X, Const(_HALF)), 2, Fraction(1, 2)), "x0", "Fraction"),
+}
+
+
+@pytest.mark.parametrize("name", _NOT_SCALARS)
+def test_an_input_that_is_not_a_scalar_is_a_type_error_naming_it(name):
+    call, where, kind = _NOT_SCALARS[name]
+    with pytest.raises(TypeError) as error:
+        call()
+    assert str(error.value) == f"{where} must be a Scalar, got {kind}"
+
+
+def test_the_evaluators_name_a_point_that_is_not_a_scalar():
+    for evaluate in (lambda: eval_jet(_X2, 3, 2), lambda: eval_scalar(_X2, 3)):
+        with pytest.raises(TypeError) as error:
+            evaluate()
+        assert str(error.value) == "x0 must be a Scalar, got int"

@@ -30,14 +30,13 @@ from jetcheck.exprs import (
     Sub,
     Var,
     X,
-    _height,
     constant_value,
     contains_float,
-    diff,
     eval_jet,
 )
 from jetcheck.numeric import Scalar
 from jetcheck.parsing import ParseError, parse
+from oracles import _height, diff
 from test_parser_differential import random_text
 
 TEXTS = ("x", "0", "3/4", "0.5", "-x", "x+1", "x-2/3", "2*x", "x/3", "x^2", "x^-2",

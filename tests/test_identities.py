@@ -13,6 +13,7 @@ from jetcheck import identities
 from jetcheck.exprs import Apply, Const, Mul, PowInt, Var, add, const, mul, neg
 from jetcheck.identities import (
     IDENTITIES,
+    SWEEP_LIMITS,
     SweepConfig,
     TheoremInstance,
     baran_verify,
@@ -26,7 +27,8 @@ from jetcheck.identities import (
     zero_power_lemma_check,
 )
 from jetcheck.numeric import MultiIndex, Scalar
-from jetcheck.parsing import parse
+from jetcheck.parsing import MAX_HEIGHT, parse
+from oracles import _height
 
 
 def ex(v, q=1):
@@ -504,6 +506,37 @@ class TestSweep:
                 SweepConfig(**config)
         with pytest.raises(ValueError, match="^identity set must not be empty$"):
             SweepConfig(identities=())
+
+    def test_a_size_above_its_limit_is_refused(self):
+        for name, limit in SWEEP_LIMITS.items():
+            SweepConfig(**{name: limit})
+            with pytest.raises(ValueError, match=f"^{name} must be at most {limit}, got {limit + 1}$"):
+                SweepConfig(**{name: limit + 1})
+
+    def test_trees_drawn_at_every_limit_stay_within_the_parser_bound(self, monkeypatch):
+        # every size takes its largest value and every coefficient is -1, which
+        # no constructor absorbs, so each tree is as high as the limits let it
+        # be; the trees are those each verifier chooses its mode on
+        class Largest(random.Random):
+            def randint(self, a, b):
+                return b if a >= 0 else a
+
+        class Drawn(Exception):
+            pass
+
+        def record(x0, exprs, **scalars):
+            trees.extend(exprs)
+            raise Drawn
+
+        monkeypatch.setattr(identities, "_mode_for", record)
+        config = SweepConfig(**SWEEP_LIMITS)
+        for name in IDENTITIES:
+            trees = []
+            with pytest.raises(Drawn):
+                identities._random_trial(name, Largest(), config)
+            heights = [_height(tree, {}) for tree in trees]
+            assert all(height <= MAX_HEIGHT for height in heights), (name, heights)
+            assert name.endswith("family") or max(heights) > SWEEP_LIMITS["degree_bound"]
 
     def test_every_identity_runs(self):
         summary = sweep(SweepConfig(seed=11, trials=len(IDENTITIES) * 2))

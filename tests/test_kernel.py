@@ -530,7 +530,7 @@ FLOAT_TAILS = ([1.5, -0.0, 0.25, -3.0, -0.0], [0.5, 1e300, -0.0, 2.0, 0.75],
 FLOAT_TREES = (Mul(Const(Scalar(-0.0)), X), Add(X, Mul(Const(Scalar(1e300)), pow_int(X, 2))),
                parse("x^2 - 0.5*x"), parse("exp(x) - 1.5"), Mul(Const(Scalar(1e300)), pow_int(X, 3)))
 FLOAT_POINTS = (Scalar(0.5), Scalar(-1.5))
-FLOAT_DIGEST = "755d4074ca1a242ff67a6286bb114108813d2dd9f66b96e5d4f5a7c9230f5a41"
+FLOAT_DIGEST = "f24b6d3bb4e13332ebdf2de25095d13337c03bc9a542d31f84ae9c6512bed413"
 
 
 def _hexes(values) -> str:

@@ -9,8 +9,8 @@ constants that scale, shift and divide jets and zero constants as divisors,
 exact lhs and scales over tables of different denominators, a large float
 instance, a flag value ``--``, tokens after a standalone ``--``, argparse's
 abbreviations and ``-`` prefixed values, the README soak sweep and a
-``--negative`` sweep, so a refactor that changes a single output byte fails
-here.
+``--negative`` sweep, a sweep size above its limit and each float overflow,
+so a refactor that changes a single output byte fails here.
 
 The module needs no pytest: ``python tests/test_output_corpus.py`` prints the
 table for the running interpreter, which compares Python versions with a
@@ -67,6 +67,44 @@ KINDS = [
 ]
 
 BARAN = ["verify", "baran", "--n", "2", "--f", "x", "--g", "x^2"]
+
+# Each float overflow, by the site that raises it, and the error line it
+# prints: the side it forms, the node, or the exact value too large for a float.
+HUGE = {zeros: "1" + "0" * zeros + ".0" for zeros in (200, 300, 308)}
+SIDE = "error: numeric overflow: the {} is beyond the float range\n"
+OVERFLOWS = {
+    # a power: in the exponential family's entries, its c_i^k, a derivative
+    # table's c^k, baran's g(x0)^k and x0^j in a monomial table
+    "exp_family_entry": (["binomid", "eq6", "--n", "3", "--s", "2,1", "--c", "-1,1",
+                          "--alpha", "0,0", "--beta", HUGE[308]], SIDE.format("lhs")),
+    "family_c_power": (["binomid", "eq4", "--n", "3", "--s", "2,1",
+                        "--c", f"-{HUGE[300]},{HUGE[300]}", "--alpha", "0,0", "--beta", "1"],
+                       SIDE.format("lhs")),
+    "derivative_table_c_power": (["verify", "corollary2", "--n", "3", "--s", "1,1",
+                                  "--c", f"{HUGE[300]},-{HUGE[300]}", "--f", "x,x", "--g", "x",
+                                  "--at", "1", "--float"], SIDE.format("lhs")),
+    "baran_g_power": (["verify", "baran", "--n", "3", "--f", "exp(x)", "--g", "exp(x)",
+                       "--at", "700.0"], SIDE.format("lhs")),
+    "monomial_x0_power": (["verify", "leibniz_product", "--n", "4", "--f", "x", "--g", "x",
+                           "--at", HUGE[300]], SIDE.format("lhs")),
+    # an integer times a float: k! in a monomial table, a kernel weight C(m, j)
+    "monomial_factorial": (["verify", "leibniz_product", "--n", "171", "--f", "x", "--g", "x",
+                            "--at", "0.5"], SIDE.format("lhs")),
+    "kernel_weight": (["binomid", "eq6", "--n", "1030", "--s", "1030,0", "--c", "-1,1",
+                       "--alpha", "0,0", "--beta", "0.001"], SIDE.format("lhs")),
+    # a product rounded once: a rhs, and the lemma's lhs
+    "product_rhs": (["verify", "corollary2", "--n", "3", "--s", "2,1", "--c", "1,-1",
+                     "--f", "x,x", "--g", "x", "--at", HUGE[200]], SIDE.format("rhs")),
+    "product_lhs": (["lemma", "--f", "x-0.5", "--n", "171", "--at", "0.5"], SIDE.format("lhs")),
+    # a real power of the point, and an exact input lifted to float mode
+    "real_power": (["verify", "baran", "--n", "1", "--f", "x^(3/2)", "--g", "x",
+                    "--at", HUGE[300]],
+                   "error: real power overflow at the expansion point in 'x^(3/2)'\n"),
+    "exact_input": (["verify", "baran", "--n", "1", "--f", "x", "--g", "x",
+                     "--at", "1" + "0" * 400, "--float"],
+                    "error: numeric overflow: the exact value 10000000000000000000... "
+                    "(401 characters) is beyond the float range\n"),
+}
 
 OTHERS = [
     # float digits of the elementary recurrences and of a large cancellation
@@ -173,7 +211,9 @@ OTHERS = [
      "--json"],
     ["verify", "corollary2", "--n", "6", "--s", "1,2,3", "--c", "1,-2,1",
      "--f", "x^2+1,x^5-x,1/(x^3+2)", "--g", "(x^4)/5-x", "--at", "3/2", "--json"],
-]
+    # a sweep size above its limit, whose trees once overflowed the recursion limit
+    ["sweep", "--degree-bound", "1500", "--trials", "8", "--max-n", "3"],
+] + [argv for argv, _ in OVERFLOWS.values()]
 
 CORPUS = README_EXAMPLES + [
     kind + extra for kind in KINDS for extra in ([], ["--json"], ["--float"], ["--float", "--json"])

@@ -1,5 +1,5 @@
 """Parsed trees at the height bound, ``parsing.MAX_HEIGHT``, and derivatives
-at theirs, ``exprs.MAX_DERIVATIVE_HEIGHT``.
+at theirs, ``oracles.MAX_DERIVATIVE_HEIGHT``.
 
 Every walk of the library, the printer, the evaluators and the CLI over a
 tree of exactly that height ends without ``RecursionError``, and so do the
@@ -25,20 +25,17 @@ from fractions import Fraction
 
 from jetcheck.cli import run
 from jetcheck.exprs import (
-    MAX_DERIVATIVE_HEIGHT,
     X,
     Div,
     _eval,
-    _height,
     contains_float,
-    diff,
     eval_jet,
     eval_scalar,
-    nth_derivative,
     to_text,
 )
 from jetcheck.numeric import DomainError, Scalar
 from jetcheck.parsing import MAX_HEIGHT, MAX_NESTING, ParseError, parse
+from oracles import MAX_DERIVATIVE_HEIGHT, _height, diff, nth_derivative
 
 GROUPS = MAX_NESTING - 1
 
