@@ -158,6 +158,26 @@ MUTANTS = {
     "txt_negative_zero": (
         EXPRS, 'p = 3 if s[0] == "-" else 5', "p = 3 if e.value.value < 0 else 5",
         "tests/test_exprs.py::test_to_text_spot"),
+    # a float side rounded from its numerator and denominator each rounded first,
+    # so a numerator past 2^53 rounds twice and one past the float range overflows
+    "product_int_division": (
+        IDENTITIES, "return num / den", "return float(num) / float(den)",
+        "tests/test_kernel.py::test_product_matches_the_fraction_route"),
+    # an exact termwise operation that leaves the right operand over its own denominator
+    "termwise_skips_a_rescale": (
+        JETS, "[v * (den // db) for v in b], den", "b, den",
+        "tests/test_jets.py::"
+        "test_exact_termwise_operations_rescale_each_operand_to_the_common_denominator"),
+    # a float power of eval_scalar that overflows with the bare math error
+    "power_overflow_names_its_node": (
+        EXPRS, "raise OverflowError(f\"float power overflow in '{to_text(e)}'\") from None",
+        "raise",
+        "tests/test_error_contract.py::test_a_float_power_beyond_the_float_range_names_its_node"),
+    # eval_jet that lets the RecursionError of a tree too high for the stack out
+    "tall_tree_value_error": (
+        EXPRS, "return _lifted(_jet(e, seed), seed)\n    except RecursionError:",
+        "return _lifted(_jet(e, seed), seed)\n    except ZeroDivisionError:",
+        "tests/test_tree_height.py::test_a_hand_built_tree_too_high_for_the_stack_is_a_value_error"),
 }
 
 

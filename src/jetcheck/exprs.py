@@ -32,7 +32,12 @@ from .jets import ELEMENTARY_FUNCTIONS, Jet
 from .numeric import DomainError, ModeError, Scalar, integer_value
 
 # The recursive walks below take one frame per tree level, so trees are
-# bounded in height where they are built: the parser's at MAX_HEIGHT.
+# bounded in height where they are built: the parser's at MAX_HEIGHT.  On a
+# hand-built tree too high for the recursion limit, each public walk
+# (eval_jet, eval_scalar, to_text) turns the RecursionError into a ValueError,
+# so no call pays for a walk that measures the height first.  A walk takes one
+# frame a level, so the height it reaches is sys.getrecursionlimit() less the
+# caller's own stack depth, not a fixed number.
 MAX_HEIGHT = 200
 
 _set = object.__setattr__  # how a node's own __init__ sets its slots
@@ -302,17 +307,20 @@ def _eval(e: Expr, x0: Fraction | float | None, lift: bool, memo: dict) -> Fract
 
 
 def _power(e: PowInt | PowReal, base: Fraction | float) -> Fraction | float:
-    """The value of ``e`` where its base has the value ``base``."""
+    """The value of ``e`` where its base has the value ``base``; a float power
+    beyond the float range is an OverflowError naming ``e``."""
     m = e.exponent if e.__class__ is PowInt else integer_value(e.exponent)
     if m is not None:
         if m < 0 and base == 0:
             raise DomainError(f"zero base with negative exponent in '{to_text(e)}'")
-        return base ** m
-    if base.__class__ is Fraction:
+    elif base.__class__ is Fraction:
         raise ModeError(f"non-integer power in '{to_text(e)}' requires float mode")
-    if not base > 0:
+    elif not base > 0:
         raise DomainError(f"non-positive base for real power in '{to_text(e)}'")
-    return math.pow(base, float(e.exponent))
+    try:
+        return base ** m if m is not None else math.pow(base, float(e.exponent))
+    except OverflowError:
+        raise OverflowError(f"float power overflow in '{to_text(e)}'") from None
 
 
 def _applied(e: Apply, arg: Fraction | float) -> float:
@@ -331,7 +339,19 @@ def eval_scalar(e: Expr, x0: Scalar) -> Scalar:
     """Evaluate at x0.  Exact when the tree and the point are exact; any
     decimal literal in the tree forces float mode for the whole evaluation."""
     x0, mode = _mode_for(x0, (e,))
-    return Scalar(_eval(e, x0.value, mode == "float", {}))
+    try:
+        return Scalar(_eval(e, x0.value, mode == "float", {}))
+    except RecursionError:
+        raise _too_high() from None
+
+
+def _too_high() -> ValueError:
+    """The error of a walk that ran out of recursion.  The bound is the
+    interpreter's recursion limit less the caller's own stack depth, so a
+    caller already deep in its stack, or a tree high enough to print only
+    near the limit, gets this error too, not only a tree higher than it."""
+    return ValueError("the tree is too high to walk: a parsed tree is at most "
+                      f"MAX_HEIGHT = {MAX_HEIGHT} levels high")
 
 
 def _named(node: Expr, op, *operands) -> Jet:
@@ -354,7 +374,10 @@ def eval_jet(e: Expr, x0: Scalar, order: int) -> Jet:
     errors read as before.  Float mode keeps every constant a jet, so its
     float operations, and bits, stay jet-by-jet."""
     seed = Jet.variable(_mode_for(x0, (e,))[0], order)
-    return _lifted(_jet(e, seed), seed)
+    try:
+        return _lifted(_jet(e, seed), seed)
+    except RecursionError:
+        raise _too_high() from None
 
 
 def _jet(node: Expr, seed: Jet) -> Jet | Fraction:
@@ -449,4 +472,7 @@ def to_text(e: Expr) -> str:
     Constants print with a leading minus when negative, which reparses as an
     explicit negation node; canonical trees keep constants non-negative.
     """
-    return _txt(e, 1)
+    try:
+        return _txt(e, 1)
+    except RecursionError:
+        raise _too_high() from None

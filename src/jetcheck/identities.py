@@ -228,8 +228,10 @@ def _product(weight: int | Fraction, factors: Iterable[tuple], mode: str, side: 
     nan), or a product beyond the float range, raises OverflowError, the
     latter naming the ``side`` it forms.  Bases are ints, Fractions or floats, d
     a positive integer (a cleared jet's denominator, or 1) and exponents
-    non-negative; the product runs on integer numerators and denominators,
-    reduced once at the end."""
+    non-negative; the product runs on integer numerators and denominators.
+    Exact mode reduces them once, to a Fraction; float mode rounds them by one
+    int / int division, which CPython rounds correctly, as ``float(Fraction)``
+    does after its gcd, so no Fraction is built."""
     num, den = weight.numerator, weight.denominator
     for base, d, exponent in factors:
         if isinstance(base, float) and not math.isfinite(base):
@@ -237,11 +239,10 @@ def _product(weight: int | Fraction, factors: Iterable[tuple], mode: str, side: 
         p, q = base.as_integer_ratio()
         num *= p ** exponent
         den *= (q * d) ** exponent
-    total = Fraction(num, den)
     if mode == "exact":
-        return total
+        return Fraction(num, den)
     try:
-        return float(total)
+        return num / den
     except OverflowError:
         raise _beyond_floats(side) from None
 
@@ -582,8 +583,9 @@ def leibniz_product_verify(
 
 def _monomial_table(h: Sequence, p, q: int) -> list:
     """[q^k (x^k h)^(k)(x0) for k = 0..order of h] with x0 = p/q, by
-    [t^k] (x0 + t)^k h = sum_j C(k, j) x0^j h_j."""
-    return [math.factorial(k) * ordered_sum(math.comb(k, j) * p ** j * q ** (k - j) * h[j]
+    [t^k] (x0 + t)^k h = sum_j C(k, j) x0^j h_j; each power of p and of q is formed once."""
+    ps, qs = [p ** j for j in range(len(h))], [q ** i for i in range(len(h))]
+    return [math.factorial(k) * ordered_sum(math.comb(k, j) * ps[j] * qs[k - j] * h[j]
                                             for j in range(k + 1))
             for k in range(len(h))]
 
@@ -725,7 +727,8 @@ def zero_power_lemma_check(
     if note is not None:
         return _report("zero_power_lemma", params, mode, tol, "precondition_violated", (note,))
 
-    *lows, lhs = [_product(Fraction(math.factorial(k), f[1] ** n), [(v, 1, 1)], mode, "lhs")
+    d = f[1] ** n
+    *lows, lhs = [_product(math.factorial(k), [(v, d, 1)], mode, "lhs")
                   for k, v in enumerate(series_pow(f[0], n))]
     scale = ordered_sum(map(abs, [lhs, *lows]))
     rhs = _product(math.factorial(n), [_at(f, 1, n)], mode)

@@ -31,7 +31,8 @@ stored floats and build no Scalar.  Asking for them on an exact jet raises
 :class:`jetcheck.numeric.ModeError` instead of silently degrading.
 
 Jets are immutable values; every operation returns a fresh jet, so they are
-safe to share between threads.
+safe to share between threads.  The operators check in place, on the stored
+values and denominator: the order and mode checks read them and no property.
 
 The series core works on plain integer, Fraction or float coefficient lists
 and serves both jets and the verifiers: one Cauchy product
@@ -167,8 +168,8 @@ class Jet:
         gives a float jet, an int or a Fraction an exact one."""
         if order < 0:
             raise ValueError(f"jet order must be non-negative, got {order}")
-        if isinstance(c, float):
-            return cls._of([c, float(slope), *[0.0] * order][: order + 1], None)
+        if c.__class__ is float:
+            return cls._of([c, float(slope), *[0.0] * (order - 1)] if order else [c], None)
         q = c.denominator
         return cls._of([c.numerator, slope * q, *[0] * order][: order + 1], q)
 
@@ -209,9 +210,9 @@ class Jet:
         return Scalar(self._at(k) * math.factorial(k))
 
     def _check_compatible(self, other: Jet) -> None:
-        if self.order != other.order:
+        if len(self._values) != len(other._values):
             raise ValueError(f"jet order mismatch: {self.order} vs {other.order}")
-        if self.is_exact != other.is_exact:
+        if (self._den is None) != (other._den is None):
             raise ModeError("cannot combine exact and float jets")
 
     def _termwise(self, other: Jet, op) -> Jet:
@@ -222,7 +223,7 @@ class Jet:
         if da != db:
             den = math.lcm(da, db)
             a, b, da = [v * (den // da) for v in a], [v * (den // db) for v in b], den
-        return Jet._of([op(x, y) for x, y in zip(a, b)], da)
+        return Jet._of(list(map(op, a, b)), da)
 
     def _number(self, other: object):
         """``other`` as a plain number in this jet's mode: a Scalar's value, a
@@ -357,7 +358,7 @@ class Jet:
     # float-mode only (see module docstring).
 
     def _require_float(self, name: str) -> None:
-        if self.is_exact:
+        if self._den is not None:
             raise ModeError(
                 f"{name} of an exact jet is not representable exactly; "
                 "evaluate in float mode"
@@ -402,12 +403,13 @@ class Jet:
         return Jet._of(b, None)
 
     def sin(self) -> Jet:
-        return self._sin_cos()[0]
+        return Jet._of(self._sin_cos()[0], None)
 
     def cos(self) -> Jet:
-        return self._sin_cos()[1]
+        return Jet._of(self._sin_cos()[1], None)
 
-    def _sin_cos(self) -> tuple[Jet, Jet]:
+    def _sin_cos(self) -> tuple[list, list]:
+        """The coefficient lists of sin and of cos: each recurrence reads the other."""
         self._require_float("sin/cos")
         a = self._values
         if not math.isfinite(a[0]):
@@ -422,7 +424,7 @@ class Jet:
         for k in range(len(s), len(a)):
             s.append(ordered_sum(a[j] * c[k - j] * j for j in range(1, k + 1)) / k)
             c.append(-(ordered_sum(a[j] * s[k - j] * j for j in range(1, k + 1)) / k))
-        return Jet._of(s, None), Jet._of(c, None)
+        return s, c
 
     def sqrt(self) -> Jet:
         self._require_float("sqrt")

@@ -31,6 +31,7 @@ from jetcheck.identities import (
     zero_power_lemma_check,
 )
 from jetcheck.numeric import ModeError, Scalar
+from jetcheck.parsing import parse
 
 CONTRACT_ERRORS = (ValueError, ModeError, OverflowError)
 
@@ -189,6 +190,15 @@ def test_an_input_that_is_not_a_scalar_is_a_type_error_naming_it(name):
     with pytest.raises(TypeError) as error:
         call()
     assert str(error.value) == f"{where} must be a Scalar, got {kind}"
+
+
+def test_a_float_power_beyond_the_float_range_names_its_node():
+    # eval_scalar let "(34, 'Numerical result out of range')" and "math range error" out
+    for text, at in (("x^400", 1e300), ("x^(3/2)", 1e300), ("(x + 1)^2.5", 1e300),
+                     ("x^-2", 1e-200), ("x^3.0", -1e200)):
+        with pytest.raises(OverflowError) as error:
+            eval_scalar(parse(text), Scalar.inexact(at))
+        assert str(error.value) == f"float power overflow in '{text}'"
 
 
 def test_the_evaluators_name_a_point_that_is_not_a_scalar():

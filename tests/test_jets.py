@@ -581,6 +581,18 @@ def test_number_operands_act_as_constant_jets(a, c):
         assert c / a == const / a
 
 
+def test_exact_termwise_operations_rescale_each_operand_to_the_common_denominator():
+    # denominators that divide one another, coprime ones and equal ones: each
+    # operand comes over their least common multiple
+    for da, db in ((1, 2), (2, 1), (2, 3), (6, 3), (3, 6), (4, 6), (5, 5)):
+        a = exact_jet(Fraction(1, da), Fraction(-3, da), 2)
+        b = exact_jet(Fraction(5, db), 1, Fraction(1, db))
+        fa, fb = [c.value for c in a.coeffs], [c.value for c in b.coeffs]
+        for op in (operator.add, operator.sub):
+            got = op(a, b)
+            assert [c.value for c in got.coeffs] == list(map(op, fa, fb)) and _is_least(got)
+
+
 def test_number_operands_of_float_jets_keep_the_termwise_bits():
     a = float_jet(1.5, -0.0, 0.0, math.inf)
     for c in (2, -3, Scalar.inexact(0.25), Scalar.inexact(-0.0)):

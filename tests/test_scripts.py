@@ -29,6 +29,20 @@ def test_report_digest_is_pinned():
     )
 
 
+def test_float_report_digest_is_pinned():
+    # One SHA-256 over a fixed grid of float transcendental instances, which
+    # the sweep never draws: it changes only when some float answer or error
+    # changes.
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "float_digest.py")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "27723c059c3383db2adb6ed2bfe53041a38bc69abd5fa518bc607236772c8e4d  1872 float instances\n"
+    )
+
+
 def test_mutants_script_kills_a_committed_mutant():
     # CI checks every mutant; tier-1 keeps the script working on one cheap case.
     proc = subprocess.run(

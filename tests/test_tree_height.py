@@ -8,7 +8,11 @@ round trip, and so does the first derivative
 of the sum, product and quotient chains; one level more is a ``ParseError``
 at the token that would build the higher node, raised at once.  The walks
 that ``nth_derivative`` makes of a derivative fit a tree as high as its
-bound, and a higher derivative is a ``DomainError``.
+bound, and a higher derivative is a ``DomainError``.  A tree built by hand
+is bounded only by the recursion limit less the caller's stack depth: at the
+default limit of 1000, one 600 levels high still evaluates and prints, and one
+too high for the limit is a ``ValueError`` naming ``MAX_HEIGHT`` from every
+verifier that takes a tree and from each public walk.
 
 The module needs no pytest: ``python tests/test_tree_height.py`` runs the
 same checks on interpreters that have none.
@@ -22,16 +26,29 @@ import io
 import pickle
 import time
 from fractions import Fraction
+from functools import partial
 
 from jetcheck.cli import run
 from jetcheck.exprs import (
     X,
+    Add,
     Div,
+    Neg,
+    Sub,
     _eval,
     contains_float,
     eval_jet,
     eval_scalar,
     to_text,
+)
+from jetcheck.identities import (
+    TheoremInstance,
+    baran_verify,
+    corollary2_verify,
+    leibniz_product_verify,
+    symmetric_pair_verify,
+    theorem1_verify,
+    zero_power_lemma_check,
 )
 from jetcheck.numeric import DomainError, Scalar
 from jetcheck.parsing import MAX_HEIGHT, MAX_NESTING, ParseError, parse
@@ -148,6 +165,53 @@ def test_an_exponent_at_the_bound_parses_at_the_deepest_nesting():
     # the exponent is folded, so the power is two levels high
     text = "(" * (MAX_NESTING - 2) + "x^(" + chain("+", term="1") + ")" + ")" * (MAX_NESTING - 2)
     assert to_text(parse(text)) == f"x^{MAX_HEIGHT}"
+
+
+def hand_built(height: int) -> Add:
+    """A left-deep sum over x, ``height`` levels high, built without the parser."""
+    tree = X
+    for _ in range(height - 1):
+        tree = Add(tree, X)
+    return tree
+
+
+# Each verifier that takes a tree, given one tree and a point; the two
+# binomial families take scalars only.
+TREE_VERIFIERS = {
+    "theorem1": lambda t, x0: theorem1_verify(
+        TheoremInstance(1, 2, (t, X), (X, Neg(X)), (1, 0), x0)),
+    "corollary2": lambda t, x0: corollary2_verify(
+        1, (t, X), X, (Scalar(1), Scalar(-1)), (1, 0), x0),
+    "symmetric_pair": lambda t, x0: symmetric_pair_verify(1, 0, X, X, t, x0),
+    "baran": lambda t, x0: baran_verify(1, t, X, x0),
+    "leibniz_product": lambda t, x0: leibniz_product_verify(1, X, t, x0),
+    "zero_power_lemma": lambda t, x0: zero_power_lemma_check(Sub(t, t), 1, x0),
+}
+
+
+def test_a_hand_built_tree_of_600_levels_still_evaluates():
+    tree = hand_built(600)
+    assert eval_scalar(tree, Scalar(1)) == 600
+    assert eval_jet(tree, Scalar(0.5), 2).cleared() == ((300.0, 600.0, 0.0), 1)
+    assert to_text(tree) == " + ".join(["x"] * 600)
+    for verify in TREE_VERIFIERS.values():
+        for x0 in (Scalar(1), Scalar(0.5)):
+            assert verify(tree, x0).params  # the printed inputs walk the tree too
+
+
+def test_a_hand_built_tree_too_high_for_the_stack_is_a_value_error():
+    # each call raised RecursionError
+    tree = hand_built(20_000)
+    calls = [lambda: eval_scalar(tree, Scalar(1)), lambda: eval_jet(tree, Scalar(1), 2),
+             lambda: to_text(tree)]
+    calls += [partial(verify, tree, Scalar(1)) for verify in TREE_VERIFIERS.values()]
+    for call in calls:
+        try:
+            call()
+        except ValueError as err:
+            assert f"MAX_HEIGHT = {MAX_HEIGHT}" in str(err), err
+        else:
+            raise AssertionError("walked a tree higher than the recursion limit")
 
 
 if __name__ == "__main__":
